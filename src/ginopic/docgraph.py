@@ -8,30 +8,34 @@ stored; the (1+epsilon) self-contribution is added during aggregation.
 
 Similarities are quantized to float32 *before* the delta comparison so the
 float32 cache round-trips bit-for-bit and every stored weight still satisfies
-weight >= delta after reload.  Graph construction is a pure function of
-(document, embeddings, delta): identical inputs give byte-identical caches.
+weight >= delta after reload.  Each weight is `np.float32(cosine_similarity)`
+of the two words, taken in one block per document from `cosine_weights` (or
+its precomputed `SimilarityCache` table), the exact batched form of that
+scalar.  Graph construction is a pure function of (document, embeddings,
+delta): identical inputs give byte-identical caches.
 """
 from __future__ import annotations
 
-import io
+import contextlib
 import json
 import logging
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Corpus, Document
-from .embedding import EmbeddingMatrix, SimilarityCache, cosine_similarity
+from .embedding import EmbeddingMatrix, SimilarityCache, cosine_weights
 from .errors import ConfigError, ContractError, DataError
 
 log = logging.getLogger(__name__)
 
 _MAGIC = b"GINOGRAPH1\n"
+# One stored edge: node-local (i, j) and the float32 weight, as struct "<IIf".
+_EDGE = np.dtype([("i", "<u4"), ("j", "<u4"), ("w", "<f4")])
 
-# SimilarityCache is quadratic in V; above this size fall back to lazy pairs.
+# SimilarityCache is quadratic in V; above this size each document computes its own block.
 _SIM_CACHE_MAX_V = 3000
 
 
@@ -77,20 +81,16 @@ def build_document_graph(
     """Threshold all word pairs of one document at delta."""
     delta = validate_delta(delta)
     node_ids = document.distinct_ids
-    n = int(node_ids.size)
-    edges = []
-    vecs = embeddings.vectors
-    for i in range(n):
-        a = int(node_ids[i])
-        for j in range(i + 1, n):
-            b = int(node_ids[j])
-            sim = sim_cache.pair(a, b) if sim_cache is not None else cosine_similarity(vecs[a], vecs[b])
-            w = float(np.float32(sim))
-            if w >= delta:
-                edges.append((i, j, w))
+    if sim_cache is not None:
+        block = sim_cache.table[np.ix_(node_ids, node_ids)]
+    else:
+        block = cosine_weights(embeddings.vectors[node_ids])
+    # np.float64: a Python float would compare in float32 and keep
+    # weights float32(delta) < delta
+    i, j = np.nonzero(np.triu(block >= np.float64(delta), 1))
     return DocumentGraph(
-        node_ids=tuple(int(x) for x in node_ids),
-        adjacency=tuple(edges),
+        node_ids=tuple(node_ids.tolist()),
+        adjacency=tuple(zip(i.tolist(), j.tolist(), block[i, j].tolist())),
         delta=delta,
     )
 
@@ -123,28 +123,17 @@ class GraphStore:
         save_graph_store(self, path)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GINOPIC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"GINOPIC_THREADS must be an integer, got {raw!r}")
-    return max(1, min(n, os.cpu_count() or 1))
-
-
 def build_all_graphs(
     corpus: Corpus,
     embeddings: EmbeddingMatrix,
     delta: float,
     cache_path=None,
-    use_sim_cache: bool | None = None,
 ) -> GraphStore:
     """Build (or reload) the graph store for every document of the corpus.
 
     A cache at `cache_path` is reused only when its (corpus, embeddings,
-    delta) key matches; on mismatch it is rebuilt with a logged warning.
-    GINOPIC_THREADS caps the worker threads; results are placed by document
-    index, so any thread count produces the same store.
+    delta) key matches; on mismatch or when it is unreadable it is rebuilt
+    with a logged warning.
     """
     delta = validate_delta(delta)
     corpus_hash = corpus.sha256
@@ -166,26 +155,11 @@ def build_all_graphs(
                 cache_path,
             )
 
-    documents = corpus.split.all_documents()
     sim_cache = None
-    if use_sim_cache is None:
-        use_sim_cache = len(corpus.vocabulary) <= _SIM_CACHE_MAX_V
-    if use_sim_cache:
+    if len(corpus.vocabulary) <= _SIM_CACHE_MAX_V:
         sim_cache = SimilarityCache(embeddings)
-
-    graphs = [None] * len(documents)
-
-    def work(idx: int) -> None:
-        graphs[idx] = build_document_graph(documents[idx], embeddings, delta, sim_cache)
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(len(documents))))
-    else:
-        for idx in range(len(documents)):
-            work(idx)
-
+    graphs = [build_document_graph(doc, embeddings, delta, sim_cache)
+              for doc in corpus.split.all_documents()]
     store = GraphStore(
         delta=delta,
         corpus_sha256=corpus_hash,
@@ -232,14 +206,45 @@ def graph_density_report(store: GraphStore) -> DensityReport:
 # Cache format
 # ---------------------------------------------------------------------------
 
-def _read_exact(fh, n: int, path) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
+def _read_exact(fh, n: int, end: int, path) -> bytes:
+    # checked against the file size first, so a corrupt length cannot
+    # make read() allocate more than the file holds
+    if n > end - fh.tell():
         raise DataError("truncated graph cache", path=path)
-    return buf
+    return fh.read(n)
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+_HEADER_FIELDS = {
+    "delta": lambda v: type(v) in (int, float) and 0.0 <= v <= 1.0,
+    "corpus_sha256": lambda v: type(v) is str,
+    "embedding_sha256": lambda v: type(v) is str,
+    "split_sizes": lambda v: type(v) is list and len(v) == 3 and all(map(_is_count, v)),
+    "n_graphs": _is_count,
+}
+
+
+def _parse_header(raw: bytes, path) -> dict:
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError alike
+        raise DataError(f"graph cache header is not UTF-8 JSON: {e}", path=path) from e
+    if type(header) is not dict:
+        raise DataError("graph cache header is not a JSON object", path=path)
+    if header.get("version") != 1:
+        raise DataError(f"unsupported graph cache version {header.get('version')!r}", path=path)
+    for key, valid in _HEADER_FIELDS.items():
+        if key not in header or not valid(header[key]):
+            raise DataError(f"graph cache header field {key!r} missing or malformed", path=path)
+    return header
 
 
 def save_graph_store(store: GraphStore, path) -> None:
+    """Write the cache through a temp file in the same directory, then
+    `os.replace` it, so a failed write leaves any previous cache intact."""
     header = {
         "version": 1,
         "delta": store.delta,
@@ -248,22 +253,27 @@ def save_graph_store(store: GraphStore, path) -> None:
         "split_sizes": list(store.split_sizes),
         "n_graphs": len(store.graphs),
     }
-    blob = io.BytesIO()
-    blob.write(_MAGIC)
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blob.write(struct.pack("<Q", len(head)))
-    blob.write(head)
-    for g in store.graphs:
-        blob.write(struct.pack("<I", g.n_nodes))
-        blob.write(np.asarray(g.node_ids, dtype="<u4").tobytes())
-        blob.write(struct.pack("<I", g.n_edges))
-        for i, j, w in g.adjacency:
-            blob.write(struct.pack("<IIf", i, j, w))
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    done = False
     try:
-        with open(path, "wb") as fh:
-            fh.write(blob.getvalue())
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<Q", len(head)))
+            fh.write(head)
+            for g in store.graphs:
+                fh.write(struct.pack("<I", g.n_nodes))
+                fh.write(np.asarray(g.node_ids, dtype="<u4").tobytes())
+                fh.write(struct.pack("<I", g.n_edges))
+                fh.write(np.array(list(g.adjacency), dtype=_EDGE).tobytes())
+        os.replace(tmp, path)
+        done = True
     except OSError as e:
         raise DataError(f"cannot write graph cache: {e}", path=path) from e
+    finally:
+        if not done:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def load_graph_store(path) -> GraphStore:
@@ -272,25 +282,22 @@ def load_graph_store(path) -> GraphStore:
     except OSError as e:
         raise DataError(f"cannot read graph cache: {e}", path=path) from e
     with fh:
+        end = os.fstat(fh.fileno()).st_size
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise DataError("not a graph cache (bad magic)", path=path)
-        (head_len,) = struct.unpack("<Q", _read_exact(fh, 8, path))
-        header = json.loads(_read_exact(fh, head_len, path).decode("utf-8"))
-        if header.get("version") != 1:
-            raise DataError(f"unsupported graph cache version {header.get('version')}", path=path)
+        (head_len,) = struct.unpack("<Q", _read_exact(fh, 8, end, path))
+        header = _parse_header(_read_exact(fh, head_len, end, path), path)
         graphs = []
         for _ in range(header["n_graphs"]):
-            (n_nodes,) = struct.unpack("<I", _read_exact(fh, 4, path))
-            ids = np.frombuffer(_read_exact(fh, 4 * n_nodes, path), dtype="<u4")
-            (n_edges,) = struct.unpack("<I", _read_exact(fh, 4, path))
-            adjacency = []
-            for _ in range(n_edges):
-                i, j, w = struct.unpack("<IIf", _read_exact(fh, 12, path))
-                adjacency.append((i, j, float(w)))
+            (n_nodes,) = struct.unpack("<I", _read_exact(fh, 4, end, path))
+            ids = np.frombuffer(_read_exact(fh, 4 * n_nodes, end, path), dtype="<u4")
+            (n_edges,) = struct.unpack("<I", _read_exact(fh, 4, end, path))
+            edges = np.frombuffer(_read_exact(fh, _EDGE.itemsize * n_edges, end, path),
+                                  dtype=_EDGE)
             graphs.append(
                 DocumentGraph(
-                    node_ids=tuple(int(x) for x in ids),
-                    adjacency=tuple(adjacency),
+                    node_ids=tuple(ids.tolist()),
+                    adjacency=tuple(edges.tolist()),
                     delta=header["delta"],
                 )
             )

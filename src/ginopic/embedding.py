@@ -6,8 +6,10 @@ Binary cache: magic GINOEMB1, little-endian float32, vocabulary-aligned.
 Words missing from the file (OOV) get reproducible uniform(-0.1, 0.1) fills
 drawn from a stream keyed by (seed, word), so the fill for a given word is
 identical across loads regardless of file order or which other words are
-missing.  `cosine_similarity` is the single similarity primitive shared by
-graph construction and the embedding-based diversity metrics.
+missing.  `cosine_similarity` is the scalar reference similarity, used as is
+by the embedding-based diversity metrics.  `cosine_weights` is its exact
+batched form for graph construction: every entry is the float32 rounding of
+the scalar value, bit for bit.
 """
 from __future__ import annotations
 
@@ -190,25 +192,61 @@ def _load_binary(path, vocabulary: Vocabulary) -> EmbeddingMatrix:
     )
 
 
-class SimilarityCache:
-    """Precomputed all-pairs cosine table, built from the scalar primitive.
+_TILE = 256
 
-    Each entry is produced by `cosine_similarity` itself, so graph builders
-    using the cache emit bit-identical weights to the lazy per-pair path.
-    Quadratic in V; intended for vocabularies of a few thousand words.
+
+def cosine_weights(vectors) -> np.ndarray:
+    """float32 cosine of every pair of rows, equal to the scalar reference.
+
+    Entry (i, j) is exactly `np.float32(cosine_similarity(vectors[i],
+    vectors[j]))`.  Work goes in _TILE x _TILE blocks of the float64 Gram
+    product, so no full float64 copy of the rows is held.  A Gram product
+    sums in another order than `np.dot`, so each entry carries the error
+    bound (2 dim + 8) eps (sum |u_k v_k| / (|u| |v|) + |c|); an entry whose
+    bound straddles a float32 rounding boundary (a few dozen of the 45,000
+    pairs of 300 random 300-d normals) is recomputed with
+    `cosine_similarity` itself.  Exact zeros from disjoint supports have a
+    zero bound and are never recomputed.
+    """
+    rows = np.asarray(vectors, dtype=np.float32)
+    n, dim = rows.shape
+    out = np.empty((n, n), dtype=np.float32)
+    slack = (2 * dim + 8) * np.finfo(np.float64).eps
+    starts = range(0, n, _TILE)
+    for r0 in starts:
+        a = rows[r0: r0 + _TILE].astype(np.float64)
+        a_abs = np.abs(a)
+        a_norm = np.sqrt(np.einsum("ij,ij->i", a, a))
+        for c0 in range(r0, n, _TILE):
+            b = rows[c0: c0 + _TILE].astype(np.float64)
+            b_norm = np.sqrt(np.einsum("ij,ij->i", b, b))
+            norms = np.multiply.outer(a_norm, b_norm)
+            nonzero = norms != 0.0
+            cos = np.divide(a @ b.T, norms, out=np.zeros_like(norms), where=nonzero)
+            bound = np.divide(a_abs @ np.abs(b).T, norms, out=np.zeros_like(norms),
+                              where=nonzero)
+            bound = slack * (bound + np.abs(cos))
+            block = np.clip(cos, -1.0, 1.0).astype(np.float32)
+            lo = np.clip(cos - bound, -1.0, 1.0).astype(np.float32)
+            hi = np.clip(cos + bound, -1.0, 1.0).astype(np.float32)
+            for i, j in zip(*np.nonzero(lo != hi)):
+                block[i, j] = cosine_similarity(rows[r0 + i], rows[c0 + j])
+            out[r0: r0 + _TILE, c0: c0 + _TILE] = block
+            # cosine_similarity is symmetric bit for bit, so mirror the block
+            out[c0: c0 + _TILE, r0: r0 + _TILE] = block.T
+    return out
+
+
+class SimilarityCache:
+    """All-pairs float32 cosine table: the weights document graphs store.
+
+    Built by `cosine_weights`, so each entry is the float32 rounding of
+    `cosine_similarity`.  Quadratic in V; intended for vocabularies of a few
+    thousand words.
     """
 
     def __init__(self, embeddings: EmbeddingMatrix):
-        v = embeddings.vectors.shape[0]
-        table = np.empty((v, v), dtype=np.float64)
-        vecs = embeddings.vectors
-        for i in range(v):
-            table[i, i] = cosine_similarity(vecs[i], vecs[i])
-            for j in range(i + 1, v):
-                s = cosine_similarity(vecs[i], vecs[j])
-                table[i, j] = s
-                table[j, i] = s
-        self.table = table
+        self.table = cosine_weights(embeddings.vectors)
 
     def pair(self, i: int, j: int) -> float:
         return float(self.table[i, j])

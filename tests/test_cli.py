@@ -5,12 +5,14 @@ channel and is parsed, stderr carries logging.
 """
 import json
 import os
+import struct
 import types
 
 import numpy as np
 import pytest
 
 from ginopic.cli import main
+from ginopic.docgraph import load_graph_store
 from ginopic.downstream import load_classifier
 from ginopic.rng import stream
 
@@ -27,6 +29,11 @@ def run(capsys, args):
     rc = main(args)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def write_bad_header_cache(path):
+    head = b'{"version": 1, "delta": '
+    path.write_bytes(b"GINOGRAPH1\n" + struct.pack("<Q", len(head)) + head)
 
 
 def parse_table(out: str) -> dict:
@@ -159,6 +166,16 @@ class TestBuildGraphs:
                                 "--out", str(tmp_path / "g.bin")])
         assert rc == 2
 
+    def test_malformed_cache_header_rebuilt(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "g.bin"
+        write_bad_header_cache(out)
+        rc, _, _ = run(capsys, ["build-graphs", "--corpus", pipeline.corpus,
+                                "--embeddings", pipeline.emb, "--delta", "0.5",
+                                "--out", str(out)])
+        assert rc == 0
+        assert out.read_bytes() == open(pipeline.graphs, "rb").read()
+        assert len(load_graph_store(out)) == 60
+
     def test_missing_corpus_file(self, pipeline, tmp_path, capsys):
         rc, _, _ = run(capsys, ["build-graphs", "--corpus", str(tmp_path / "no.bin"),
                                 "--embeddings", pipeline.emb, "--delta", "0.5",
@@ -242,6 +259,15 @@ class TestTrain:
                                 "--epochs", "1",
                                 "--out", str(tmp_path / "r")] + TRAIN_DIMS)
         assert rc == 2
+
+    def test_malformed_graph_cache_header_exit_code(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "bad.bin"
+        write_bad_header_cache(bad)
+        rc, _, err = run(capsys, ["train", "--corpus", pipeline.corpus, "--graphs", str(bad),
+                                  "--topics", "2", "--epochs", "1",
+                                  "--out", str(tmp_path / "r")] + TRAIN_DIMS)
+        assert rc == 3
+        assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, pipeline, tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Document graph construction against a brute-force reference, plus the cache."""
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ginopic import docgraph
 from ginopic.corpus import build_corpus
 from ginopic.docgraph import (
     DocumentGraph,
@@ -97,6 +100,19 @@ class TestBuildDocumentGraph:
                 assert g2.n_edges == 1 and g2.adjacency[0][2] == c32
                 return
         pytest.fail("no downward-rounding pair found")
+
+    def test_weight_rounded_below_delta_is_dropped(self):
+        # float32(0.7) < 0.7: a weight quantized to it must not clear delta 0.7
+        theta = math.acos(0.7)
+        vocab = make_vocabulary(["aa", "bb"])
+        emb = make_embeddings(vocab, [[1.0, 0.0], [math.cos(theta), math.sin(theta)]])
+        w = float(np.float32(0.7))
+        assert w < 0.7
+        assert build_document_graph(make_document([0, 1]), emb, delta=w).adjacency == \
+            ((0, 1, w),)
+        assert build_document_graph(make_document([0, 1]), emb, delta=0.7).n_edges == 0
+        cache = SimilarityCache(emb)
+        assert build_document_graph(make_document([0, 1]), emb, 0.7, cache).n_edges == 0
 
     def test_nodes_in_first_occurrence_order_no_self_loops(self):
         emb = random_embeddings(10, 4, seed=2)
@@ -225,19 +241,51 @@ class TestGraphStore:
         assert len(store) == len(corpus.split.all_documents())
         assert "unreadable" in caplog.text
 
-    def test_thread_count_does_not_change_result(self, monkeypatch):
+    def test_cache_and_no_cache_builds_write_identical_bytes(self, tmp_path, monkeypatch):
         corpus, emb = self._setup()
-        monkeypatch.setenv("GINOPIC_THREADS", "1")
-        seq = build_all_graphs(corpus, emb, delta=0.2)
-        monkeypatch.setenv("GINOPIC_THREADS", "4")
-        par = build_all_graphs(corpus, emb, delta=0.2)
-        assert seq.graphs == par.graphs
+        with_cache = tmp_path / "cached.bin"
+        build_all_graphs(corpus, emb, delta=0.2, cache_path=with_cache)
+        monkeypatch.setattr(docgraph, "_SIM_CACHE_MAX_V", 0)
+        without = tmp_path / "lazy.bin"
+        build_all_graphs(corpus, emb, delta=0.2, cache_path=without)
+        assert with_cache.read_bytes() == without.read_bytes()
 
-    def test_bad_thread_env(self, monkeypatch):
+    def test_loaded_store_equals_built_one(self, tmp_path):
         corpus, emb = self._setup()
-        monkeypatch.setenv("GINOPIC_THREADS", "lots")
-        with pytest.raises(ConfigError):
-            build_all_graphs(corpus, emb, delta=0.2)
+        store = build_all_graphs(corpus, emb, delta=0.1)
+        path = tmp_path / "graphs.bin"
+        save_graph_store(store, path)
+        loaded = load_graph_store(path)
+        assert loaded.graphs == store.graphs
+        # both sides hold plain Python scalars, not numpy ones
+        for g in loaded.graphs + store.graphs:
+            assert [tuple(map(type, e)) for e in g.adjacency] == [(int, int, float)] * g.n_edges
+            assert all(type(x) is int for x in g.node_ids)
+        again = tmp_path / "again.bin"
+        save_graph_store(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_failed_write_keeps_previous_cache(self, tmp_path):
+        corpus, emb = self._setup()
+        store = build_all_graphs(corpus, emb, delta=0.3)
+        path = tmp_path / "graphs.bin"
+        save_graph_store(store, path)
+        before = path.read_bytes()
+        # the last graph cannot be serialized, so the write fails after every
+        # other graph has gone out
+        broken = DocumentGraph(node_ids=(0, 1), adjacency=((0, 1, "x"),), delta=0.3)
+        bad = GraphStore(delta=0.5, corpus_sha256="x", embedding_sha256="y",
+                         graphs=store.graphs + [broken], split_sizes=store.split_sizes)
+        with pytest.raises(ValueError):
+            save_graph_store(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["graphs.bin"]
+
+    def test_unwritable_cache_is_data_error(self, tmp_path):
+        corpus, emb = self._setup()
+        store = build_all_graphs(corpus, emb, delta=0.3)
+        with pytest.raises(DataError, match="cannot write"):
+            save_graph_store(store, tmp_path / "missing_dir" / "graphs.bin")
 
     def test_truncated_and_trailing_cache(self, tmp_path):
         corpus, emb = self._setup()
@@ -251,6 +299,26 @@ class TestGraphStore:
         path.write_bytes(blob + b"zz")
         with pytest.raises(DataError, match="trailing"):
             load_graph_store(path)
+
+    @pytest.mark.parametrize("edit", [
+        "bad_json", "not_utf8", "not_object", "missing_key", "bad_split_sizes",
+        "string_count", "delta_out_of_range", "huge_header_length",
+    ])
+    def test_malformed_header_is_data_error(self, tmp_path, edit):
+        path = tmp_path / "graphs.bin"
+        write_with_header(path, HEADER_EDITS[edit])
+        with pytest.raises(DataError):
+            load_graph_store(path)
+
+    @pytest.mark.parametrize("edit", ["bad_json", "not_utf8", "missing_key"])
+    def test_malformed_header_cache_rebuilt(self, tmp_path, caplog, edit):
+        corpus, emb = self._setup()
+        path = tmp_path / "graphs.bin"
+        write_with_header(path, HEADER_EDITS[edit])
+        with caplog.at_level("WARNING"):
+            store = build_all_graphs(corpus, emb, delta=0.3, cache_path=path)
+        assert "unreadable" in caplog.text
+        assert load_graph_store(path).graphs == store.graphs
 
     def test_density_report_hand_values(self):
         g3 = DocumentGraph(node_ids=(0, 1, 2),
@@ -269,3 +337,41 @@ class TestGraphStore:
                            graphs=[], split_sizes=(0, 0, 0))
         with pytest.raises(ContractError):
             graph_density_report(store)
+
+
+GOOD_HEADER = {"corpus_sha256": "x", "delta": 0.3, "embedding_sha256": "y",
+               "n_graphs": 0, "split_sizes": [0, 0, 0], "version": 1}
+
+
+def _json(**edit):
+    return json.dumps({**GOOD_HEADER, **edit}).encode()
+
+
+HEADER_EDITS = {
+    "bad_json": b'{"version": 1,',
+    "not_utf8": b"\xff\xfe{}",
+    "not_object": b"[1, 2, 3]",
+    "missing_key": json.dumps({k: v for k, v in GOOD_HEADER.items()
+                               if k != "n_graphs"}).encode(),
+    "bad_split_sizes": _json(split_sizes=[1, 2]),
+    "string_count": _json(n_graphs="3"),
+    "delta_out_of_range": _json(delta=2.5),
+    "huge_header_length": None,
+}
+
+
+def write_with_header(path, head):
+    """A graph cache with no graphs whose header bytes are `head`; None
+    writes a header length far past the end of the file."""
+    if head is None:
+        path.write_bytes(docgraph._MAGIC + struct.pack("<Q", 2 ** 62) + b"{}")
+    else:
+        path.write_bytes(docgraph._MAGIC + struct.pack("<Q", len(head)) + head)
+
+
+def test_well_formed_header_loads(tmp_path):
+    """The malformed-header cases differ from this one only in the edit."""
+    path = tmp_path / "graphs.bin"
+    write_with_header(path, _json())
+    store = load_graph_store(path)
+    assert store.graphs == [] and store.delta == 0.3

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from ginopic import embedding
 from ginopic.embedding import (
     EmbeddingMatrix,
     SimilarityCache,
     cosine_similarity,
+    cosine_weights,
     load_embeddings,
     save_binary,
 )
@@ -138,16 +140,59 @@ class TestBinaryCache:
             )
 
 
+def scalar_weights(rows):
+    """Reference table: np.float32 of the scalar cosine, one pair at a time."""
+    n = len(rows)
+    return np.array([[cosine_similarity(rows[i], rows[j]) for j in range(n)]
+                     for i in range(n)], dtype=np.float64).astype(np.float32)
+
+
+class TestCosineWeights:
+    def test_every_pair_bitwise_and_guard_fires(self, monkeypatch):
+        # 300 rows span two 256-row tiles, so mirrored blocks are covered; at
+        # 300 dims random normals put a few dozen Gram entries within their
+        # error bound of a float32 rounding boundary
+        rows = np.random.default_rng(0).normal(size=(300, 300)).astype(np.float32)
+        rows[7] = 0.0
+        rechecks = []
+
+        def counting(u, v):
+            rechecks.append(1)
+            return cosine_similarity(u, v)
+
+        monkeypatch.setattr(embedding, "cosine_similarity", counting)
+        got = cosine_weights(rows)
+        assert got.dtype == np.float32 and got.shape == (300, 300)
+        assert len(rechecks) > 0
+        assert np.array_equal(got.view(np.uint32), scalar_weights(rows).view(np.uint32))
+        assert not got[7].any() and not got[:, 7].any()
+
+    def test_hand_values_and_signed_zeros(self):
+        # the last two rows multiply to a sum of negative zeros
+        rows = [[1.0, 0.0], [0.0, 2.0], [-3.0, 0.0], [0.0, 0.0], [1.0, 1.0],
+                [-1.0, 0.0], [0.0, -1.0]]
+        got = cosine_weights(rows)
+        want = scalar_weights(np.asarray(rows, dtype=np.float32))
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        assert got[0, 2] == -1.0 and got[0, 0] == 1.0
+        assert got[0, 4] == np.float32(1.0 / math.sqrt(2.0))
+
+    def test_empty(self):
+        assert cosine_weights(np.zeros((0, 3), dtype=np.float32)).shape == (0, 0)
+
+
 class TestSimilarityCache:
     def test_matches_direct_cosine_bitwise(self):
         vocab = make_vocabulary([f"w{i}" for i in range(6)])
         gen = np.random.default_rng(1)
         emb = make_embeddings(vocab, gen.normal(size=(6, 4)))
         cache = SimilarityCache(emb)
+        assert cache.table.dtype == np.float32
         for i in range(6):
             for j in range(6):
-                direct = cosine_similarity(emb.vectors[i], emb.vectors[j])
-                assert cache.pair(i, j) == direct  # exact float equality
+                direct = np.float32(cosine_similarity(emb.vectors[i], emb.vectors[j]))
+                assert cache.table[i, j].tobytes() == direct.tobytes()
+                assert cache.pair(i, j) == float(direct)
 
     def test_symmetric(self):
         vocab = make_vocabulary(["aa", "bb", "cc"])
