@@ -1,0 +1,90 @@
+"""The binary container shared by the graph cache, embedding cache and
+classifier files: magic line, u64 little-endian header length, JSON header
+(sorted keys, compact), then the format's payload.
+
+`write_artifact` writes through a temp file in the same directory and
+`os.replace`s it, so a failed write leaves any previous file intact.
+`read_artifact` turns every unreadable, truncated or malformed file into a
+`DataError`: each header field is checked by the caller's validator before
+any code reads it, and every read length is checked against the file size.
+"""
+from __future__ import annotations
+
+import contextlib
+import json
+import os
+import struct
+
+from .errors import DataError
+
+
+def is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+@contextlib.contextmanager
+def write_artifact(path, magic: bytes, header: dict, what: str):
+    """Yield a binary file positioned after the header, for the payload."""
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    done = False
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic)
+            fh.write(struct.pack("<Q", len(head)))
+            fh.write(head)
+            yield fh
+        os.replace(tmp, path)
+        done = True
+    except OSError as e:
+        raise DataError(f"cannot write {what}: {e}", path=path) from e
+    finally:
+        if not done:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
+def _parse_header(raw: bytes, fields: dict, what: str, path) -> dict:
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError alike
+        raise DataError(f"{what} header is not UTF-8 JSON: {e}", path=path) from e
+    if type(header) is not dict:
+        raise DataError(f"{what} header is not a JSON object", path=path)
+    if header.get("version") != 1:
+        raise DataError(f"unsupported {what} version {header.get('version')!r}", path=path)
+    for key, valid in fields.items():
+        if key not in header or not valid(header[key]):
+            raise DataError(f"{what} header field {key!r} missing or malformed", path=path)
+    return header
+
+
+@contextlib.contextmanager
+def read_artifact(path, magic: bytes, fields: dict, what: str):
+    """Yield (header, read): the validated header and `read(n)`, which returns
+    exactly n payload bytes.  Leaving the block checks that nothing trails
+    the payload."""
+    try:
+        fh = open(path, "rb")
+    except OSError as e:
+        raise DataError(f"cannot read {what}: {e}", path=path) from e
+    with fh:
+        end = os.fstat(fh.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            # checked against the file size first, so a corrupt length cannot
+            # make read() allocate more than the file holds
+            if n > end - fh.tell():
+                raise DataError(f"truncated {what}", path=path)
+            return fh.read(n)
+
+        if fh.read(len(magic)) != magic:
+            raise DataError(f"bad magic: not the expected {what}", path=path)
+        (head_len,) = struct.unpack("<Q", read(8))
+        yield _parse_header(read(head_len), fields, what, path), read
+        if fh.read(1):
+            raise DataError(f"trailing bytes after {what} payload", path=path)

@@ -16,8 +16,6 @@ delta): identical inputs give byte-identical caches.
 """
 from __future__ import annotations
 
-import contextlib
-import json
 import logging
 import os
 import struct
@@ -25,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifact import is_count, is_number, read_artifact, write_artifact
 from .corpus import Corpus, Document
 from .embedding import EmbeddingMatrix, SimilarityCache, cosine_weights
 from .errors import ConfigError, ContractError, DataError
@@ -206,45 +205,17 @@ def graph_density_report(store: GraphStore) -> DensityReport:
 # Cache format
 # ---------------------------------------------------------------------------
 
-def _read_exact(fh, n: int, end: int, path) -> bytes:
-    # checked against the file size first, so a corrupt length cannot
-    # make read() allocate more than the file holds
-    if n > end - fh.tell():
-        raise DataError("truncated graph cache", path=path)
-    return fh.read(n)
-
-
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 0
-
-
 _HEADER_FIELDS = {
-    "delta": lambda v: type(v) in (int, float) and 0.0 <= v <= 1.0,
+    "delta": lambda v: is_number(v) and 0.0 <= v <= 1.0,
     "corpus_sha256": lambda v: type(v) is str,
     "embedding_sha256": lambda v: type(v) is str,
-    "split_sizes": lambda v: type(v) is list and len(v) == 3 and all(map(_is_count, v)),
-    "n_graphs": _is_count,
+    "split_sizes": lambda v: type(v) is list and len(v) == 3 and all(map(is_count, v)),
+    "n_graphs": is_count,
 }
 
 
-def _parse_header(raw: bytes, path) -> dict:
-    try:
-        header = json.loads(raw.decode("utf-8"))
-    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError alike
-        raise DataError(f"graph cache header is not UTF-8 JSON: {e}", path=path) from e
-    if type(header) is not dict:
-        raise DataError("graph cache header is not a JSON object", path=path)
-    if header.get("version") != 1:
-        raise DataError(f"unsupported graph cache version {header.get('version')!r}", path=path)
-    for key, valid in _HEADER_FIELDS.items():
-        if key not in header or not valid(header[key]):
-            raise DataError(f"graph cache header field {key!r} missing or malformed", path=path)
-    return header
-
-
 def save_graph_store(store: GraphStore, path) -> None:
-    """Write the cache through a temp file in the same directory, then
-    `os.replace` it, so a failed write leaves any previous cache intact."""
+    """Write the cache atomically (see `artifact.write_artifact`)."""
     header = {
         "version": 1,
         "delta": store.delta,
@@ -253,47 +224,30 @@ def save_graph_store(store: GraphStore, path) -> None:
         "split_sizes": list(store.split_sizes),
         "n_graphs": len(store.graphs),
     }
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    done = False
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<Q", len(head)))
-            fh.write(head)
-            for g in store.graphs:
-                fh.write(struct.pack("<I", g.n_nodes))
-                fh.write(np.asarray(g.node_ids, dtype="<u4").tobytes())
-                fh.write(struct.pack("<I", g.n_edges))
-                fh.write(np.array(list(g.adjacency), dtype=_EDGE).tobytes())
-        os.replace(tmp, path)
-        done = True
-    except OSError as e:
-        raise DataError(f"cannot write graph cache: {e}", path=path) from e
-    finally:
-        if not done:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
+    with write_artifact(path, _MAGIC, header, "graph cache") as fh:
+        for g in store.graphs:
+            fh.write(struct.pack("<I", g.n_nodes))
+            fh.write(np.asarray(g.node_ids, dtype="<u4").tobytes())
+            fh.write(struct.pack("<I", g.n_edges))
+            fh.write(np.array(list(g.adjacency), dtype=_EDGE).tobytes())
 
 
 def load_graph_store(path) -> GraphStore:
-    try:
-        fh = open(path, "rb")
-    except OSError as e:
-        raise DataError(f"cannot read graph cache: {e}", path=path) from e
-    with fh:
-        end = os.fstat(fh.fileno()).st_size
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise DataError("not a graph cache (bad magic)", path=path)
-        (head_len,) = struct.unpack("<Q", _read_exact(fh, 8, end, path))
-        header = _parse_header(_read_exact(fh, head_len, end, path), path)
+    with read_artifact(path, _MAGIC, _HEADER_FIELDS, "graph cache") as (header, read):
+        if sum(header["split_sizes"]) != header["n_graphs"]:
+            raise DataError(f"graph cache split sizes {header['split_sizes']} do not add up "
+                            f"to {header['n_graphs']} graphs", path=path)
         graphs = []
         for _ in range(header["n_graphs"]):
-            (n_nodes,) = struct.unpack("<I", _read_exact(fh, 4, end, path))
-            ids = np.frombuffer(_read_exact(fh, 4 * n_nodes, end, path), dtype="<u4")
-            (n_edges,) = struct.unpack("<I", _read_exact(fh, 4, end, path))
-            edges = np.frombuffer(_read_exact(fh, _EDGE.itemsize * n_edges, end, path),
-                                  dtype=_EDGE)
+            (n_nodes,) = struct.unpack("<I", read(4))
+            ids = np.frombuffer(read(4 * n_nodes), dtype="<u4")
+            (n_edges,) = struct.unpack("<I", read(4))
+            edges = np.frombuffer(read(_EDGE.itemsize * n_edges), dtype=_EDGE)
+            # checked per graph: holding every graph's edge buffer for one
+            # check at the end would add their bytes to the loader's peak
+            if n_edges and not ((edges["i"] < edges["j"]).all() and edges["j"].max() < n_nodes):
+                raise DataError("graph cache edge is not (i, j) with i < j < its graph's nodes",
+                                path=path)
             graphs.append(
                 DocumentGraph(
                     node_ids=tuple(ids.tolist()),
@@ -301,8 +255,6 @@ def load_graph_store(path) -> GraphStore:
                     delta=header["delta"],
                 )
             )
-        if fh.read(1):
-            raise DataError("trailing bytes after graph cache payload", path=path)
     return GraphStore(
         delta=header["delta"],
         corpus_sha256=header["corpus_sha256"],

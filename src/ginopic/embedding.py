@@ -14,13 +14,12 @@ the scalar value, bit for bit.
 from __future__ import annotations
 
 import hashlib
-import io
-import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifact import is_count, read_artifact, write_artifact
 from .corpus import Vocabulary
 from .errors import DataError
 from .rng import stream
@@ -143,7 +142,8 @@ def load_embeddings(path, vocabulary: Vocabulary, seed: int = 0) -> EmbeddingMat
 
 
 def save_binary(embeddings: EmbeddingMatrix, path) -> None:
-    """Write the vocabulary-aligned binary cache (GINOEMB1, little-endian f32)."""
+    """Write the vocabulary-aligned binary cache (GINOEMB1, little-endian f32)
+    atomically (see `artifact.write_artifact`)."""
     header = {
         "version": 1,
         "v": int(embeddings.vectors.shape[0]),
@@ -151,42 +151,27 @@ def save_binary(embeddings: EmbeddingMatrix, path) -> None:
         "seed": embeddings.seed,
         "vocab_sha256": embeddings.vocabulary.sha256,
     }
-    blob = io.BytesIO()
-    blob.write(_MAGIC)
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blob.write(struct.pack("<Q", len(head)))
-    blob.write(head)
-    blob.write(embeddings.vectors.astype("<f4").tobytes())
-    blob.write(np.packbits(embeddings.oov_mask).tobytes())
-    try:
-        with open(path, "wb") as fh:
-            fh.write(blob.getvalue())
-    except OSError as e:
-        raise DataError(f"cannot write embedding cache: {e}", path=path) from e
+    with write_artifact(path, _MAGIC, header, "embedding cache") as fh:
+        fh.write(embeddings.vectors.astype("<f4").tobytes())
+        fh.write(np.packbits(embeddings.oov_mask).tobytes())
 
 
-def _read_exact(fh, n: int, path) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise DataError("truncated embedding cache", path=path)
-    return buf
+_HEADER_FIELDS = {
+    "v": is_count,
+    "dim": lambda v: is_count(v) and v > 0,
+    "seed": lambda v: type(v) is int,
+    "vocab_sha256": lambda v: type(v) is str,
+}
 
 
 def _load_binary(path, vocabulary: Vocabulary) -> EmbeddingMatrix:
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise DataError("not an embedding cache (bad magic)", path=path)
-        (head_len,) = struct.unpack("<Q", _read_exact(fh, 8, path))
-        header = json.loads(_read_exact(fh, head_len, path).decode("utf-8"))
-        if header.get("version") != 1:
-            raise DataError(f"unsupported embedding cache version {header.get('version')}", path=path)
-        if header["vocab_sha256"] != vocabulary.sha256:
+    with read_artifact(path, _MAGIC, _HEADER_FIELDS, "embedding cache") as (header, read):
+        if header["vocab_sha256"] != vocabulary.sha256 or header["v"] != len(vocabulary):
             raise DataError("embedding cache was built for a different vocabulary", path=path)
         v, dim = header["v"], header["dim"]
-        vectors = np.frombuffer(_read_exact(fh, 4 * v * dim, path), dtype="<f4")
+        vectors = np.frombuffer(read(4 * v * dim), dtype="<f4")
         vectors = vectors.reshape(v, dim).astype(np.float32)
-        mask_bytes = _read_exact(fh, (v + 7) // 8, path)
-        oov = np.unpackbits(np.frombuffer(mask_bytes, dtype=np.uint8))[:v].astype(bool)
+        oov = np.unpackbits(np.frombuffer(read((v + 7) // 8), dtype=np.uint8))[:v].astype(bool)
     return EmbeddingMatrix(
         vectors=vectors, oov_mask=oov, vocabulary=vocabulary, seed=header["seed"]
     )

@@ -21,6 +21,7 @@ word always starts from the same feature row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -29,6 +30,9 @@ from .docgraph import DocumentGraph
 from .errors import ConfigError, ContractError
 from .nn import BatchNorm1d, Mlp
 from .rng import RngStreams
+
+# One (i, j, weight) adjacency tuple of a DocumentGraph.
+_EDGE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
 
 @dataclass
@@ -72,27 +76,21 @@ def batch_adjacency(graphs, epsilon: float, dtype=None):
     """
     if not graphs:
         raise ContractError("batch_adjacency: empty graph list")
-    rows, cols, vals = [], [], []
-    ids, segments = [], []
-    offset = 0
-    for b, g in enumerate(graphs):
-        n = g.n_nodes
-        for i in range(n):
-            rows.append(offset + i)
-            cols.append(offset + i)
-            vals.append(1.0 + epsilon)
-        for i, j, w in g.adjacency:
-            rows.append(offset + i)
-            cols.append(offset + j)
-            vals.append(w)
-            rows.append(offset + j)
-            cols.append(offset + i)
-            vals.append(w)
-        ids.extend(g.node_ids)
-        segments.extend([b] * n)
-        offset += n
-    matrix = T.SparseMatrix.from_coo(rows, cols, vals, shape=(offset, offset), dtype=dtype)
-    return matrix, np.asarray(ids, dtype=np.int64), np.asarray(segments, dtype=np.int64)
+    n_nodes = np.fromiter((g.n_nodes for g in graphs), dtype=np.int64, count=len(graphs))
+    n_edges = np.fromiter((g.n_edges for g in graphs), dtype=np.int64, count=len(graphs))
+    edges = np.fromiter(chain.from_iterable(g.adjacency for g in graphs),
+                        dtype=_EDGE, count=int(n_edges.sum()))
+    offsets = np.repeat(np.cumsum(n_nodes) - n_nodes, n_edges)
+    i, j = edges["i"] + offsets, edges["j"] + offsets
+    total = int(n_nodes.sum())
+    diag = np.arange(total)
+    rows = np.concatenate([diag, i, j])
+    cols = np.concatenate([diag, j, i])
+    vals = np.concatenate([np.full(total, 1.0 + epsilon), edges["w"], edges["w"]])
+    ids = np.fromiter(chain.from_iterable(g.node_ids for g in graphs), dtype=np.int64, count=total)
+    segments = np.repeat(np.arange(len(graphs)), n_nodes)
+    matrix = T.SparseMatrix.from_coo(rows, cols, vals, shape=(total, total), dtype=dtype)
+    return matrix, ids, segments
 
 
 def gin_layer_forward(node_states: T.Tensor, graph: DocumentGraph, epsilon: float, mlp) -> T.Tensor:

@@ -1,4 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -29,6 +32,22 @@ def make_embeddings(vocabulary, vectors, seed=0):
         vocabulary=vocabulary,
         seed=seed,
     )
+
+
+def rewrite_header(path, magic, edit):
+    """Replace the JSON header of the artifact file at `path` by
+    `edit(header)`, keeping its payload: a dict is re-encoded, bytes are
+    written as they are, None writes a header length past the file's end."""
+    blob = path.read_bytes()
+    start = len(magic)
+    (n,) = struct.unpack("<Q", blob[start: start + 8])
+    head = edit(json.loads(blob[start + 8: start + 8 + n])) if callable(edit) else edit
+    if head is None:
+        path.write_bytes(magic + struct.pack("<Q", 2 ** 62) + b"{}")
+        return
+    if isinstance(head, dict):
+        head = json.dumps(head).encode()
+    path.write_bytes(magic + struct.pack("<Q", len(head)) + head + blob[start + 8 + n:])
 
 
 def make_document(token_ids, label=None):

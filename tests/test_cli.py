@@ -3,6 +3,7 @@
 All invocations go through `ginopic.cli.main` in process; stdout is the data
 channel and is parsed, stderr carries logging.
 """
+import dataclasses
 import json
 import os
 import struct
@@ -12,9 +13,13 @@ import numpy as np
 import pytest
 
 from ginopic.cli import main
-from ginopic.docgraph import load_graph_store
+from ginopic.corpus import load_corpus
+from ginopic.docgraph import load_graph_store, save_graph_store
 from ginopic.downstream import load_classifier
+from ginopic.embedding import load_embeddings, save_binary
 from ginopic.rng import stream
+
+from conftest import rewrite_header
 
 FRUIT = "apple banana cherry melon grape mango plum kiwi".split()
 AUTO = "engine wheel brake piston clutch sedan truck motor".split()
@@ -166,6 +171,18 @@ class TestBuildGraphs:
                                 "--out", str(tmp_path / "g.bin")])
         assert rc == 2
 
+    def test_malformed_embedding_cache_exit_code(self, pipeline, tmp_path, capsys):
+        emb = load_embeddings(pipeline.emb, load_corpus(pipeline.corpus).vocabulary)
+        cache = tmp_path / "emb.bin"
+        save_binary(emb, cache)
+        rewrite_header(cache, b"GINOEMB1\n",
+                       lambda h: {k: v for k, v in h.items() if k != "dim"})
+        rc, _, err = run(capsys, ["build-graphs", "--corpus", pipeline.corpus,
+                                  "--embeddings", str(cache), "--delta", "0.5",
+                                  "--out", str(tmp_path / "g.bin")])
+        assert rc == 3
+        assert "Traceback" not in err
+
     def test_malformed_cache_header_rebuilt(self, pipeline, tmp_path, capsys):
         out = tmp_path / "g.bin"
         write_bad_header_cache(out)
@@ -263,6 +280,23 @@ class TestTrain:
     def test_malformed_graph_cache_header_exit_code(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
         write_bad_header_cache(bad)
+        rc, _, err = run(capsys, ["train", "--corpus", pipeline.corpus, "--graphs", str(bad),
+                                  "--topics", "2", "--epochs", "1",
+                                  "--out", str(tmp_path / "r")] + TRAIN_DIMS)
+        assert rc == 3
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fault", ["edge_outside_graph", "split_sum"])
+    def test_inconsistent_graph_cache_exit_code(self, pipeline, tmp_path, capsys, fault):
+        store = load_graph_store(pipeline.graphs)
+        if fault == "edge_outside_graph":
+            g = store.graphs[0]
+            store.graphs[0] = dataclasses.replace(
+                g, adjacency=g.adjacency + ((0, g.n_nodes + 5, 0.9),))
+        else:
+            store.split_sizes = (store.split_sizes[0] + 1,) + store.split_sizes[1:]
+        bad = tmp_path / "bad.bin"
+        save_graph_store(store, bad)
         rc, _, err = run(capsys, ["train", "--corpus", pipeline.corpus, "--graphs", str(bad),
                                   "--topics", "2", "--epochs", "1",
                                   "--out", str(tmp_path / "r")] + TRAIN_DIMS)

@@ -300,9 +300,22 @@ class TestGraphStore:
         with pytest.raises(DataError, match="trailing"):
             load_graph_store(path)
 
+    @pytest.mark.parametrize("edge", [(0, 7), (1, 0), (1, 1), (2, 3)])
+    def test_edge_outside_its_graph_is_data_error(self, tmp_path, edge):
+        corpus, emb = self._setup()
+        store = build_all_graphs(corpus, emb, delta=0.3)
+        bad = DocumentGraph(node_ids=(0, 1, 2), adjacency=((0, 1, 0.5), (*edge, 0.5)),
+                            delta=0.3)
+        path = tmp_path / "graphs.bin"
+        save_graph_store(GraphStore(delta=0.3, corpus_sha256="x", embedding_sha256="y",
+                                    graphs=store.graphs[:-1] + [bad],
+                                    split_sizes=store.split_sizes), path)
+        with pytest.raises(DataError, match="i < j"):
+            load_graph_store(path)
+
     @pytest.mark.parametrize("edit", [
         "bad_json", "not_utf8", "not_object", "missing_key", "bad_split_sizes",
-        "string_count", "delta_out_of_range", "huge_header_length",
+        "string_count", "delta_out_of_range", "huge_header_length", "split_sum_mismatch",
     ])
     def test_malformed_header_is_data_error(self, tmp_path, edit):
         path = tmp_path / "graphs.bin"
@@ -357,6 +370,7 @@ HEADER_EDITS = {
     "string_count": _json(n_graphs="3"),
     "delta_out_of_range": _json(delta=2.5),
     "huge_header_length": None,
+    "split_sum_mismatch": _json(split_sizes=[1, 0, 0]),
 }
 
 

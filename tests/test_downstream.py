@@ -1,7 +1,11 @@
 """Linear SVM on topic proportions: hand-traced updates, determinism, I/O."""
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from ginopic import downstream
 from ginopic.docgraph import build_all_graphs
 from ginopic.downstream import (
     LinearClassifier,
@@ -121,6 +125,91 @@ class TestTrainClassifier:
             SvmConfig(l2=-1.0).validate()
 
 
+def loop_train_classifier(theta, labels, config):
+    """The per-sample SGD loop `train_classifier` replaced, kept as its
+    reference.  Returns (weights, biases, share of margin-violating steps)."""
+    x = np.asarray(theta, dtype=np.float64)
+    y_all = np.asarray(labels, dtype=np.int64)
+    classes = np.unique(y_all)
+    n, k = x.shape
+    weights = np.zeros((classes.size, k), dtype=np.float64)
+    biases = np.zeros(classes.size, dtype=np.float64)
+    violations = 0
+    for ci, c in enumerate(classes):
+        y = np.where(y_all == c, 1.0, -1.0)
+        w = np.zeros(k, dtype=np.float64)
+        b = 0.0
+        for epoch in range(1, config.epochs + 1):
+            eta = config.lr / epoch
+            order = stream(config.seed, f"svm/class{ci}/epoch{epoch}").permutation(n)
+            for i in order:
+                decay = 1.0 - eta * config.l2
+                if y[i] * (w @ x[i] + b) < 1.0:
+                    w = decay * w + eta * y[i] * x[i]
+                    b += eta * y[i]
+                    violations += 1
+                else:
+                    w = decay * w
+        weights[ci] = w
+        biases[ci] = b
+    return weights, biases, violations / (classes.size * config.epochs * n)
+
+
+def topic_like(n, k, n_classes, seed, concentration=0.3):
+    """Dirichlet rows whose class shifts the mean, like inferred topic proportions."""
+    gen = np.random.default_rng(seed)
+    y = gen.integers(0, n_classes, size=n)
+    alpha = np.full((n_classes, k), concentration)
+    alpha[np.arange(n_classes), np.arange(n_classes) % k] += 3.0
+    return np.stack([gen.dirichlet(alpha[c]) for c in y]), y
+
+
+# (n, K, classes, l2): window boundaries, ddot's blocked kernel at K = 50,
+# decay exactly 1.0 at l2 = 0.  At lr 0.5 each case violates on 5-65% of steps.
+SVM_CASES = {
+    "one_class": (10, 3, 1, 1e-4),
+    "two_class_k6": (150, 6, 2, 1e-4),
+    "twenty_class": (230, 6, 20, 1e-4),
+    "k1": (90, 1, 3, 1e-4),
+    "k50": (70, 50, 4, 1e-3),
+    "n_below_window": (5, 4, 2, 1e-4),
+    "n_multiple_of_window": (2 * downstream._WINDOW, 6, 3, 1e-4),
+    "l2_zero": (100, 6, 3, 0.0),
+}
+
+
+class TestMatchesLoopBitwise:
+    @pytest.mark.parametrize("case", sorted(SVM_CASES))
+    def test_weights_and_biases_bytes(self, case):
+        n, k, n_classes, l2 = SVM_CASES[case]
+        x, y = topic_like(n, k, n_classes, seed=len(case))
+        config = SvmConfig(epochs=4, lr=0.5, l2=l2, seed=3)
+        weights, biases, _ = loop_train_classifier(x, y, config)
+        clf = train_classifier(x, y, config)
+        assert clf.weights.tobytes() == weights.tobytes()
+        assert clf.biases.tobytes() == biases.tobytes()
+
+    def test_low_violation_share_spans_windows(self):
+        x, y = topic_like(400, 6, 3, seed=0, concentration=0.05)
+        config = SvmConfig(epochs=6, lr=0.5, seed=1)
+        weights, biases, share = loop_train_classifier(x, y, config)
+        assert share < 0.3
+        clf = train_classifier(x, y, config)
+        assert clf.weights.tobytes() == weights.tobytes()
+        assert clf.biases.tobytes() == biases.tobytes()
+
+    def test_random_labels_high_violation_share(self):
+        gen = np.random.default_rng(11)
+        x = gen.random((300, 6))
+        y = gen.permutation(np.arange(300) % 2)
+        config = SvmConfig(epochs=3, seed=2)
+        weights, biases, share = loop_train_classifier(x, y, config)
+        assert share > 0.9
+        clf = train_classifier(x, y, config)
+        assert clf.weights.tobytes() == weights.tobytes()
+        assert clf.biases.tobytes() == biases.tobytes()
+
+
 class TestClassifierBehavior:
     def test_predict_is_argmax_of_decision(self):
         clf = LinearClassifier(
@@ -166,14 +255,15 @@ class TestClassifierBehavior:
             evaluate_accuracy(clf, np.zeros((0, 2)), [])
 
 
-class TestClassifierFile:
-    def _clf(self):
-        x, y = clusters(20, [np.zeros(3), np.ones(3)], noise=0.2, seed=0)
-        config = SvmConfig(epochs=5, seed=2)
-        return train_classifier(x, y, config), config
+def small_classifier():
+    x, y = clusters(20, [np.zeros(3), np.ones(3)], noise=0.2, seed=0)
+    config = SvmConfig(epochs=5, seed=2)
+    return train_classifier(x, y, config), config
 
+
+class TestClassifierFile:
     def test_round_trip_bitwise(self, tmp_path):
-        clf, config = self._clf()
+        clf, config = small_classifier()
         path = tmp_path / "clf.bin"
         save_classifier(clf, config, path)
         loaded, loaded_config = load_classifier(path)
@@ -189,7 +279,7 @@ class TestClassifierFile:
             load_classifier(path)
 
     def test_truncated(self, tmp_path):
-        clf, config = self._clf()
+        clf, config = small_classifier()
         path = tmp_path / "clf.bin"
         save_classifier(clf, config, path)
         blob = path.read_bytes()
@@ -198,12 +288,93 @@ class TestClassifierFile:
             load_classifier(path)
 
     def test_trailing(self, tmp_path):
-        clf, config = self._clf()
+        clf, config = small_classifier()
         path = tmp_path / "clf.bin"
         save_classifier(clf, config, path)
         path.write_bytes(path.read_bytes() + b"!")
         with pytest.raises(DataError, match="trailing"):
             load_classifier(path)
+
+
+GOOD_HEADER = {"classes": [0, 1], "n_features": 3, "version": 1,
+               "config": {"epochs": 5, "l2": 0.0001, "lr": 0.01, "seed": 2}}
+
+
+def _json(**edit):
+    return json.dumps({**GOOD_HEADER, **edit}).encode()
+
+
+def _config(**edit):
+    return _json(config={**GOOD_HEADER["config"], **edit})
+
+
+HEADER_EDITS = {
+    "bad_json": b'{"version": 1,',
+    "not_utf8": b"\xff\xfe{}",
+    "not_object": b"[1, 2]",
+    "bad_version": _json(version=2),
+    "missing_classes": json.dumps({k: v for k, v in GOOD_HEADER.items()
+                                   if k != "classes"}).encode(),
+    "classes_not_list": _json(classes=3),
+    "classes_empty": _json(classes=[]),
+    "classes_unsorted": _json(classes=[1, 0]),
+    "classes_float": _json(classes=[0, 1.5]),
+    "n_features_string": _json(n_features="3"),
+    "n_features_zero": _json(n_features=0),
+    "config_not_object": _json(config=[5]),
+    "config_unknown_key": _config(momentum=0.9),
+    "config_missing_key": _json(config={"epochs": 5, "lr": 0.01, "l2": 0.0001}),
+    "config_string_value": _config(lr="0.01"),
+    "config_float_epochs": _config(epochs=5.0),
+    "config_invalid_value": _config(epochs=0),
+    "huge_header_length": None,
+}
+
+# weights (2 x 3) and biases (2) of GOOD_HEADER
+PAYLOAD = np.arange(8, dtype="<f8").tobytes()
+
+
+def write_with_header(path, head):
+    """A classifier file whose header bytes are `head`; None writes a header
+    length far past the end of the file."""
+    if head is None:
+        path.write_bytes(downstream._MAGIC + struct.pack("<Q", 2 ** 62) + b"{}")
+    else:
+        path.write_bytes(downstream._MAGIC + struct.pack("<Q", len(head)) + head + PAYLOAD)
+
+
+class TestClassifierFileHeader:
+    def test_well_formed_header_loads(self, tmp_path):
+        """The malformed cases differ from this one only in the edit."""
+        path = tmp_path / "clf.bin"
+        write_with_header(path, _json())
+        clf, config = load_classifier(path)
+        assert clf.weights.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        assert config == SvmConfig(epochs=5, seed=2)
+
+    @pytest.mark.parametrize("edit", sorted(HEADER_EDITS))
+    def test_malformed_header_is_data_error(self, tmp_path, edit):
+        path = tmp_path / "clf.bin"
+        write_with_header(path, HEADER_EDITS[edit])
+        with pytest.raises(DataError):
+            load_classifier(path)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        clf, config = small_classifier()
+        path = tmp_path / "clf.bin"
+        save_classifier(clf, config, path)
+        before = path.read_bytes()
+        bad = LinearClassifier(classes=clf.classes, weights=clf.weights,
+                               biases=np.array(["x", "y"], dtype=object))
+        with pytest.raises(ValueError):
+            save_classifier(bad, config, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["clf.bin"]
+
+    def test_unwritable_path_is_data_error(self, tmp_path):
+        clf, config = small_classifier()
+        with pytest.raises(DataError, match="cannot write"):
+            save_classifier(clf, config, tmp_path / "missing_dir" / "clf.bin")
 
 
 class TestExportTheta:

@@ -76,6 +76,70 @@ class TestBatchAdjacency:
             batch_adjacency([], 0.0)
 
 
+def loop_batch_adjacency(graphs, epsilon, dtype=None):
+    """The per-entry loop batch_adjacency replaced, kept as its reference."""
+    rows, cols, vals = [], [], []
+    ids, segments = [], []
+    offset = 0
+    for b, g in enumerate(graphs):
+        n = g.n_nodes
+        for i in range(n):
+            rows.append(offset + i)
+            cols.append(offset + i)
+            vals.append(1.0 + epsilon)
+        for i, j, w in g.adjacency:
+            rows.append(offset + i)
+            cols.append(offset + j)
+            vals.append(w)
+            rows.append(offset + j)
+            cols.append(offset + i)
+            vals.append(w)
+        ids.extend(g.node_ids)
+        segments.extend([b] * n)
+        offset += n
+    matrix = T.SparseMatrix.from_coo(rows, cols, vals, shape=(offset, offset), dtype=dtype)
+    return matrix, np.asarray(ids, dtype=np.int64), np.asarray(segments, dtype=np.int64)
+
+
+def random_graphs(seed, count):
+    """Graphs of 1-12 nodes; some edgeless, some with isolated nodes."""
+    gen = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(gen.integers(1, 13))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = gen.random(len(pairs)) < gen.choice([0.0, 0.2, 0.7])
+        weights = gen.random(len(pairs)).tolist()
+        adjacency = tuple((i, j, w) for (i, j), w, k in zip(pairs, weights, keep) if k)
+        ids = tuple(gen.choice(500, size=n, replace=False).tolist())
+        out.append(DocumentGraph(node_ids=ids, adjacency=adjacency, delta=0.0))
+    return out
+
+
+class TestBatchAdjacencyMatchesLoop:
+    @pytest.mark.parametrize("eps", [0.0, 0.1, -1.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_csr_bytes_equal(self, eps, dtype, seed):
+        graphs = random_graphs(seed, 64)
+        assert any(g.n_edges == 0 for g in graphs)
+        assert any(g.n_edges and g.n_edges < g.n_nodes - 1 for g in graphs)
+        got, want = batch_adjacency(graphs, eps, dtype), loop_batch_adjacency(graphs, eps, dtype)
+        for a, b in zip(got[1:], want[1:]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for attr in ("data", "indices", "indptr"):
+            a, b = getattr(got[0].mat, attr), getattr(want[0].mat, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got[0].shape == want[0].shape
+
+    def test_all_edgeless(self):
+        graphs = [graph(3, []), graph(1, []), graph(2, [])]
+        got, want = batch_adjacency(graphs, 0.5), loop_batch_adjacency(graphs, 0.5)
+        assert got[0].mat.data.tobytes() == want[0].mat.data.tobytes()
+        assert got[0].mat.indices.tobytes() == want[0].mat.indices.tobytes()
+        assert got[2].tolist() == [0, 0, 0, 1, 2, 2]
+
+
 class TestLayerHandValues:
     def test_edgeless_identity_mlp_zero_epsilon_is_identity(self):
         g = graph(2, [])
