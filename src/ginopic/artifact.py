@@ -1,12 +1,13 @@
-"""The binary container shared by the graph cache, embedding cache and
-classifier files: magic line, u64 little-endian header length, JSON header
-(sorted keys, compact), then the format's payload.
+"""The binary container shared by the corpus cache, graph cache, embedding
+cache and classifier files: magic line, u64 little-endian header length,
+JSON header (sorted keys, compact), then the format's payload.
 
 `write_artifact` writes through a temp file in the same directory and
 `os.replace`s it, so a failed write leaves any previous file intact.
 `read_artifact` turns every unreadable, truncated or malformed file into a
 `DataError`: each header field is checked by the caller's validator before
-any code reads it, and every read length is checked against the file size.
+any code reads it, and every read length is checked against the bytes left
+in the file.
 """
 from __future__ import annotations
 
@@ -73,17 +74,20 @@ def read_artifact(path, magic: bytes, fields: dict, what: str):
     except OSError as e:
         raise DataError(f"cannot read {what}: {e}", path=path) from e
     with fh:
-        end = os.fstat(fh.fileno()).st_size
+        left = os.fstat(fh.fileno()).st_size
 
         def read(n: int) -> bytes:
-            # checked against the file size first, so a corrupt length cannot
-            # make read() allocate more than the file holds
-            if n > end - fh.tell():
+            # checked against the bytes left in the file first, so a corrupt
+            # length cannot make read() allocate more than the file holds
+            nonlocal left
+            if n > left:
                 raise DataError(f"truncated {what}", path=path)
+            left -= n
             return fh.read(n)
 
         if fh.read(len(magic)) != magic:
             raise DataError(f"bad magic: not the expected {what}", path=path)
+        left -= len(magic)
         (head_len,) = struct.unpack("<Q", read(8))
         yield _parse_header(read(head_len), fields, what, path), read
         if fh.read(1):

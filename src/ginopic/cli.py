@@ -38,14 +38,11 @@ from .errors import ConfigError, ContractError, DataError, GinopicError, Numeric
 from .gin import GinConfig
 from .metrics import (
     build_cooccurrence,
-    cv,
-    irbo,
+    evaluate_topics,
     load_topics,
     npmi,
     save_topics,
     token_documents,
-    wi_c,
-    wi_m,
     write_metrics_report,
 )
 from .presets import get_preset
@@ -365,8 +362,13 @@ def _run_one_training(corpus, store, config: TrainConfig, out_dir, paths: dict):
     return result.model, topics, seconds, final
 
 
-def _train_npmi(topics, corpus) -> float:
-    stats = build_cooccurrence(token_documents(corpus.split.train, corpus.vocabulary))
+def _reference_stats(corpus):
+    """Window-10 co-occurrence over the train split: the npmi reference of a
+    batch, built once per invocation since every run shares the split."""
+    return build_cooccurrence(token_documents(corpus.split.train, corpus.vocabulary))
+
+
+def _train_npmi(topics, stats) -> float:
     return float(np.mean([npmi(t, stats) for t in topics]))
 
 
@@ -379,6 +381,7 @@ def _cmd_train(o) -> int:
         if not o.embeddings:
             raise ConfigError("--delta-sweep needs --embeddings to rebuild graphs")
         embeddings = load_embeddings(o.embeddings, corpus.vocabulary, seed=o.seed)
+        stats = _reference_stats(corpus)
         os.makedirs(o.out, exist_ok=True)
         _emit("delta", "mean_edges", "build_seconds", "train_seconds", "npmi")
         rows = []
@@ -391,7 +394,7 @@ def _cmd_train(o) -> int:
             config = _train_config_from(o, topics_k, o.seed)
             run_dir = os.path.join(o.out, f"delta{delta:g}")
             _, topics, train_s, _ = _run_one_training(corpus, store, config, run_dir, paths)
-            score = _train_npmi(topics, corpus)
+            score = _train_npmi(topics, stats)
             row = (f"{delta:g}", f"{report.mean_edges:.3f}", f"{build_s:.3f}",
                    f"{train_s:.3f}", f"{score:.6f}")
             rows.append(row)
@@ -421,6 +424,7 @@ def _cmd_train(o) -> int:
                     raise ConfigError(f"bad topic count {item!r}") from e
         if not counts:
             raise ConfigError("--topic-counts is empty")
+        stats = _reference_stats(corpus)
         os.makedirs(o.out, exist_ok=True)
         _emit("topics", "final_loss", "train_seconds", "npmi")
         rows = []
@@ -428,7 +432,7 @@ def _cmd_train(o) -> int:
             config = _train_config_from(o, k, o.seed)
             run_dir = os.path.join(o.out, f"K{k}")
             _, topics, secs, final = _run_one_training(corpus, store, config, run_dir, paths)
-            score = _train_npmi(topics, corpus)
+            score = _train_npmi(topics, stats)
             row = (str(k), f"{final.total:.6f}", f"{secs:.3f}", f"{score:.6f}")
             rows.append(row)
             _emit(*row)
@@ -448,6 +452,7 @@ def _cmd_train(o) -> int:
         _emit(topics_k, o.seed, f"{final.total:.6f}", f"{secs:.3f}")
         return 0
 
+    stats = _reference_stats(corpus)
     os.makedirs(o.out, exist_ok=True)
     _emit("seed", "final_loss", "train_seconds", "npmi")
     rows = []
@@ -455,7 +460,7 @@ def _cmd_train(o) -> int:
         config = _train_config_from(o, topics_k, seed)
         run_dir = os.path.join(o.out, f"seed{seed}")
         _, topics, secs, final = _run_one_training(corpus, store, config, run_dir, paths)
-        score = _train_npmi(topics, corpus)
+        score = _train_npmi(topics, stats)
         row = (str(seed), f"{final.total:.6f}", f"{secs:.3f}", f"{score:.6f}")
         rows.append(row)
         _emit(*row)
@@ -482,25 +487,17 @@ def _cmd_eval_topics(o) -> int:
     else:
         raise ConfigError("one of --model or --topics-file is required")
 
-    metrics: dict = {"irbo": irbo(topics, o.rbo_p)}
-    if corpus is not None:
-        tokens = token_documents(corpus.split.train, corpus.vocabulary)
-        stats_npmi = build_cooccurrence(tokens, 10)
-        stats_cv = build_cooccurrence(tokens, 110)
-        per_npmi = [npmi(t, stats_npmi) for t in topics]
-        per_cv = [cv(t, stats_cv) for t in topics]
-        metrics["npmi"] = float(np.mean(per_npmi))
-        metrics["cv"] = float(np.mean(per_cv))
-        metrics["npmi_per_topic"] = per_npmi
-        metrics["cv_per_topic"] = per_cv
+    embeddings = None
     if o.embeddings:
-        vocab = corpus.vocabulary if corpus is not None else Vocabulary(
-            words=sorted({w for t in topics for w in t}),
-            doc_frequency=np.zeros(len({w for t in topics for w in t}), dtype=np.int64),
-        )
+        if corpus is not None:
+            vocab = corpus.vocabulary
+        else:
+            words = sorted({w for t in topics for w in t})
+            vocab = Vocabulary(words=words, doc_frequency=np.zeros(len(words), dtype=np.int64))
         embeddings = load_embeddings(o.embeddings, vocab, seed=o.seed)
-        metrics["wi_c"] = wi_c(topics, embeddings)
-        metrics["wi_m"] = wi_m(topics, embeddings)
+    reference = (token_documents(corpus.split.train, corpus.vocabulary)
+                 if corpus is not None else None)
+    metrics = evaluate_topics(topics, reference, embeddings, o.rbo_p)
 
     for key in sorted(k for k, v in metrics.items() if isinstance(v, float)):
         _emit(key, f"{metrics[key]:.9g}")

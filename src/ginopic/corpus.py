@@ -11,22 +11,21 @@ unnormalized.  The pipeline fits idf on the training split and applies it
 unchanged to validation/test, so held-out documents never leak into the
 weighting; the smoothing keeps words unseen in training finite and positive.
 
-The on-disk cache (magic GINOCORP1) stores the vocabulary, token ids, labels,
-and tf-idf of every document and reproduces them bit-for-bit on load; its
-content is purely input-derived, so rerunning preprocessing on identical
-inputs yields an identical file.
+The on-disk cache (magic GINOCORP1, in the `artifact` container) stores the
+vocabulary, token ids, labels, and tf-idf of every document and reproduces
+them bit-for-bit on load; its content is purely input-derived, so rerunning
+preprocessing on identical inputs yields an identical file.
 """
 from __future__ import annotations
 
 import hashlib
-import io
-import json
 import re
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifact import is_count, is_number, read_artifact, write_artifact
 from .errors import ConfigError, ContractError, DataError
 from .lemmatizer import lemmatize
 from .rng import stream
@@ -388,43 +387,45 @@ def save_vocabulary(vocabulary: Vocabulary, path) -> None:
             fh.write(word + "\n")
 
 
-def _write_doc(fh, doc: Document) -> None:
+def _doc_bytes(doc: Document) -> bytes:
     ids = doc.token_ids.astype("<i4")
-    fh.write(struct.pack("<I", ids.size))
-    fh.write(ids.tobytes())
-    fh.write(struct.pack("<I", _NO_LABEL if doc.label is None else doc.label))
+    label = _NO_LABEL if doc.label is None else doc.label
+    parts = [struct.pack("<I", ids.size), ids.tobytes()]
     if doc.tfidf_ids is None:
-        fh.write(struct.pack("<I", 0))
-        return
-    fh.write(struct.pack("<I", doc.tfidf_ids.size))
-    fh.write(doc.tfidf_ids.astype("<i4").tobytes())
-    fh.write(doc.tfidf_values.astype("<f8").tobytes())
+        parts.append(struct.pack("<II", label, 0))
+    else:
+        parts += [struct.pack("<II", label, doc.tfidf_ids.size),
+                  doc.tfidf_ids.astype("<i4").tobytes(), doc.tfidf_values.astype("<f8").tobytes()]
+    return b"".join(parts)
 
 
-def _read_exact(fh, n: int, path) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise DataError("truncated corpus cache", path=path)
-    return buf
-
-
-def _read_doc(fh, path) -> Document:
-    (n_tokens,) = struct.unpack("<I", _read_exact(fh, 4, path))
-    ids = np.frombuffer(_read_exact(fh, 4 * n_tokens, path), dtype="<i4").astype(np.int32)
-    (label,) = struct.unpack("<I", _read_exact(fh, 4, path))
-    (nnz,) = struct.unpack("<I", _read_exact(fh, 4, path))
+def _read_doc(read) -> Document:
+    (n_tokens,) = struct.unpack("<I", read(4))
+    ids = np.frombuffer(read(4 * n_tokens), dtype="<i4").astype(np.int32)
+    label, nnz = struct.unpack("<II", read(8))
     doc = Document(token_ids=ids, label=None if label == _NO_LABEL else int(label))
     if nnz:
-        doc.tfidf_ids = np.frombuffer(
-            _read_exact(fh, 4 * nnz, path), dtype="<i4"
-        ).astype(np.int32)
-        doc.tfidf_values = np.frombuffer(
-            _read_exact(fh, 8 * nnz, path), dtype="<f8"
-        ).astype(np.float64)
+        doc.tfidf_ids = np.frombuffer(read(4 * nnz), dtype="<i4").astype(np.int32)
+        doc.tfidf_values = np.frombuffer(read(8 * nnz), dtype="<f8").astype(np.float64)
     return doc
 
 
+_HEADER_FIELDS = {
+    "v": is_count,
+    "n_train": is_count,
+    "n_validation": is_count,
+    "n_test": is_count,
+    "label_names": lambda v: v is None or (type(v) is list
+                                           and all(type(name) is str for name in v)),
+    "k_gold": lambda v: v is None or is_count(v),
+    "options": lambda v: type(v) is dict,
+    "seed": lambda v: type(v) is int,
+    "ratios": lambda v: type(v) is list and len(v) == 3 and all(map(is_number, v)),
+}
+
+
 def save_corpus(corpus: Corpus, path) -> None:
+    """Write the cache atomically (see `artifact.write_artifact`)."""
     header = {
         "version": 1,
         "v": len(corpus.vocabulary),
@@ -437,48 +438,31 @@ def save_corpus(corpus: Corpus, path) -> None:
         "seed": corpus.seed,
         "ratios": list(corpus.ratios),
     }
-    blob = io.BytesIO()
-    blob.write(_MAGIC)
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blob.write(struct.pack("<Q", len(head)))
-    blob.write(head)
-    vocab_block = "\n".join(corpus.vocabulary.words).encode("utf-8")
-    blob.write(struct.pack("<Q", len(vocab_block)))
-    blob.write(vocab_block)
-    blob.write(corpus.vocabulary.doc_frequency.astype("<i8").tobytes())
-    for doc in corpus.split.all_documents():
-        _write_doc(blob, doc)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(blob.getvalue())
-    except OSError as e:
-        raise DataError(f"cannot write corpus cache: {e}", path=path) from e
+    with write_artifact(path, _MAGIC, header, "corpus cache") as fh:
+        vocab_block = "\n".join(corpus.vocabulary.words).encode("utf-8")
+        fh.write(struct.pack("<Q", len(vocab_block)))
+        fh.write(vocab_block)
+        fh.write(corpus.vocabulary.doc_frequency.astype("<i8").tobytes())
+        fh.write(b"".join(map(_doc_bytes, corpus.split.all_documents())))
 
 
 def load_corpus(path) -> Corpus:
-    try:
-        fh = open(path, "rb")
-    except OSError as e:
-        raise DataError(f"cannot read corpus cache: {e}", path=path) from e
-    with fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise DataError("not a corpus cache (bad magic)", path=path)
-        (head_len,) = struct.unpack("<Q", _read_exact(fh, 8, path))
-        header = json.loads(_read_exact(fh, head_len, path).decode("utf-8"))
-        if header.get("version") != 1:
-            raise DataError(f"unsupported corpus cache version {header.get('version')}", path=path)
-        (vocab_len,) = struct.unpack("<Q", _read_exact(fh, 8, path))
-        words = _read_exact(fh, vocab_len, path).decode("utf-8").split("\n")
+    with read_artifact(path, _MAGIC, _HEADER_FIELDS, "corpus cache") as (header, read):
+        (vocab_len,) = struct.unpack("<Q", read(8))
+        try:
+            words = read(vocab_len).decode("utf-8").split("\n")
+        except UnicodeDecodeError as e:
+            raise DataError(f"corpus cache vocabulary is not UTF-8: {e}", path=path) from e
         v = header["v"]
         if len(words) != v:
             raise DataError("corpus cache vocabulary length mismatch", path=path)
-        df = np.frombuffer(_read_exact(fh, 8 * v, path), dtype="<i8").astype(np.int64)
-        vocabulary = Vocabulary(words=words, doc_frequency=df)
-        parts = []
-        for key in ("n_train", "n_validation", "n_test"):
-            parts.append([_read_doc(fh, path) for _ in range(header[key])])
-        if fh.read(1):
-            raise DataError("trailing bytes after corpus cache payload", path=path)
+        df = np.frombuffer(read(8 * v), dtype="<i8").astype(np.int64)
+        try:
+            vocabulary = Vocabulary(words=words, doc_frequency=df)
+        except ContractError as e:
+            raise DataError(f"corpus cache holds an invalid vocabulary: {e}", path=path) from e
+        parts = [[_read_doc(read) for _ in range(header[key])]
+                 for key in ("n_train", "n_validation", "n_test")]
     split = CorpusSplit(
         train=parts[0],
         validation=parts[1],

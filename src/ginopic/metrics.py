@@ -23,9 +23,11 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
 import numpy as np
+import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .embedding import EmbeddingMatrix, cosine_similarity
 from .errors import ConfigError, ContractError, DataError
@@ -58,29 +60,64 @@ class CooccurrenceStats:
 def build_cooccurrence(token_documents, window_size: int = NPMI_WINDOW) -> CooccurrenceStats:
     """Count boolean word and pair presence over all sliding windows.
 
-    `token_documents` is an iterable of token lists (strings).  Counts are
-    integers, so accumulation order cannot change the result.
+    `token_documents` is an iterable of token lists (strings).  The windows
+    become the rows of one boolean window x word presence matrix W (a word
+    repeated inside a window is present once), with words numbered in sorted
+    order so that id order is key order.  Every count is an entry of the
+    integer product W.T @ W: its diagonal holds the word counts and its strict
+    upper triangle the pair counts.  Integer sums do not depend on the order
+    of accumulation, so the counts equal those of visiting window by window.
     """
     if window_size < 1:
         raise ConfigError(f"window_size must be >= 1, got {window_size}")
-    stats = CooccurrenceStats(window_size=window_size, n_windows=0)
-    n_docs = 0
-    for tokens in token_documents:
-        n_docs += 1
-        length = len(tokens)
-        if length == 0:
-            continue
-        n_win = max(1, length - window_size + 1)
-        stats.n_windows += n_win
-        for start in range(n_win):
-            present = sorted(set(tokens[start:start + window_size]))
-            for word in present:
-                stats.word_counts[word] += 1
-            for pair in combinations(present, 2):
-                stats.pair_counts[pair] += 1
-    if n_docs == 0 or stats.n_windows == 0:
-        raise DataError("cannot build co-occurrence statistics from an empty corpus")
+    words, presence = _window_presence(token_documents, window_size)
+    counts = presence.T @ presence
+    stats = CooccurrenceStats(window_size=window_size, n_windows=presence.shape[0])
+    # dict.update fills a Counter without adding to (or copying) anything
+    dict.update(stats.word_counts, zip(words, counts.diagonal().tolist()))
+    pairs = sp.triu(counts, k=1, format="csr")
+    del presence, counts  # freed before the pair Counter grows
+    # one word's row at a time keeps the key lists small next to the Counter
+    names = np.array(words, dtype=object)
+    bounds = pairs.indptr.tolist()
+    for a, lo, hi in zip(words, bounds, bounds[1:]):
+        dict.update(stats.pair_counts, zip(zip(repeat(a), names[pairs.indices[lo:hi]].tolist()),
+                                           pairs.data[lo:hi].tolist()))
     return stats
+
+
+def _window_presence(token_documents, window_size: int):
+    """(sorted distinct words, boolean int32 CSR of windows x words).
+
+    A document of length L >= window_size has the L - window_size + 1 windows
+    of `window_size` tokens that fit in it; a shorter non-empty document is a
+    single window of all its tokens.  The row order does not matter to W.T @ W.
+    """
+    docs = list(token_documents)
+    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
+    if not lengths.any():
+        raise DataError("cannot build co-occurrence statistics from an empty corpus")
+    tokens = list(chain.from_iterable(docs))
+    words = sorted(set(tokens))
+    index = {w: i for i, w in enumerate(words)}
+    ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int32, count=len(tokens))
+    # a position starts a full window if the window ends inside its document
+    doc_end = np.repeat(np.cumsum(lengths), lengths)
+    starts = np.flatnonzero(np.arange(ids.size) + window_size <= doc_end)
+    full = (sliding_window_view(ids, window_size)[starts] if starts.size
+            else np.empty((0, window_size), dtype=np.int32))
+    short = lengths[(lengths > 0) & (lengths < window_size)]
+    indices = np.concatenate([full.ravel(), ids[np.repeat(lengths < window_size, lengths)]])
+    indptr = np.concatenate([np.arange(0, (starts.size + 1) * window_size, window_size),
+                             starts.size * window_size + np.cumsum(short)])
+    # counts never exceed the window count, so int32 holds them below 2**31 windows
+    n_windows = starts.size + short.size
+    count_type = np.int32 if n_windows <= np.iinfo(np.int32).max else np.int64
+    presence = sp.csr_matrix((np.ones(indices.size, dtype=count_type), indices, indptr),
+                             shape=(n_windows, len(words)))
+    presence.sum_duplicates()
+    presence.data.fill(1)
+    return words, presence
 
 
 def npmi_pair(stats: CooccurrenceStats, a: str, b: str, eps: float = NPMI_EPS) -> float:
@@ -224,25 +261,22 @@ def token_documents(documents, vocabulary) -> list:
     return [[words[t] for t in doc.token_ids] for doc in documents]
 
 
-def evaluate_topics(topics, reference_token_docs, embeddings: EmbeddingMatrix | None = None,
+def evaluate_topics(topics, reference_token_docs=None, embeddings: EmbeddingMatrix | None = None,
                     p: float = 0.9) -> dict:
-    """All intrinsic metrics for a topic set against a reference corpus.
+    """All intrinsic metrics for a topic set.
 
-    Returns aggregate values plus per-topic coherence lists; embedding-based
-    diversity only when an embedding matrix is supplied.
+    irbo always; npmi and cv (aggregate plus per-topic lists) when a
+    reference corpus of token lists is supplied; the embedding-based
+    diversities wi_c and wi_m when an embedding matrix is supplied.
     """
-    validate_topics(topics)
-    stats_npmi = build_cooccurrence(reference_token_docs, NPMI_WINDOW)
-    stats_cv = build_cooccurrence(reference_token_docs, CV_WINDOW)
-    per_npmi = [npmi(t, stats_npmi) for t in topics]
-    per_cv = [cv(t, stats_cv) for t in topics]
-    out = {
-        "npmi": float(np.mean(per_npmi)),
-        "cv": float(np.mean(per_cv)),
-        "irbo": irbo(topics, p),
-        "npmi_per_topic": per_npmi,
-        "cv_per_topic": per_cv,
-    }
+    out = {"irbo": irbo(topics, p)}
+    if reference_token_docs is not None:
+        stats_npmi = build_cooccurrence(reference_token_docs, NPMI_WINDOW)
+        stats_cv = build_cooccurrence(reference_token_docs, CV_WINDOW)
+        out["npmi_per_topic"] = [npmi(t, stats_npmi) for t in topics]
+        out["cv_per_topic"] = [cv(t, stats_cv) for t in topics]
+        out["npmi"] = float(np.mean(out["npmi_per_topic"]))
+        out["cv"] = float(np.mean(out["cv_per_topic"]))
     if embeddings is not None:
         out["wi_c"] = wi_c(topics, embeddings)
         out["wi_m"] = wi_m(topics, embeddings)

@@ -12,6 +12,7 @@ import types
 import numpy as np
 import pytest
 
+from ginopic import cli, corpus as corpus_module
 from ginopic.cli import main
 from ginopic.corpus import load_corpus
 from ginopic.docgraph import load_graph_store, save_graph_store
@@ -265,6 +266,26 @@ class TestTrain:
         for d in ("0.3", "0.6"):
             assert (out_dir / f"delta{d}" / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("batch", [["--seeds", "2", "--topics", "2"],
+                                       ["--topic-counts", "3,gold"]],
+                             ids=["seeds", "topic_counts"])
+    def test_batch_builds_reference_stats_once(self, pipeline, tmp_path, capsys,
+                                               monkeypatch, batch):
+        calls = []
+        build = cli.build_cooccurrence
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_cooccurrence", counting)
+        rc, out, _ = run(capsys, ["train", "--corpus", pipeline.corpus,
+                                  "--graphs", pipeline.graphs, "--epochs", "1",
+                                  "--out", str(tmp_path / "batch")] + batch + TRAIN_DIMS)
+        assert rc == 0
+        assert len(calls) == 1
+        assert len((tmp_path / "batch" / "aggregate.tsv").read_text().split("\n")) >= 3
+
     def test_delta_sweep_needs_embeddings(self, pipeline, tmp_path, capsys):
         rc, _, _ = run(capsys, ["train", "--corpus", pipeline.corpus, "--topics", "2",
                                 "--epochs", "1", "--delta-sweep", "0.3",
@@ -298,6 +319,17 @@ class TestTrain:
         bad = tmp_path / "bad.bin"
         save_graph_store(store, bad)
         rc, _, err = run(capsys, ["train", "--corpus", pipeline.corpus, "--graphs", str(bad),
+                                  "--topics", "2", "--epochs", "1",
+                                  "--out", str(tmp_path / "r")] + TRAIN_DIMS)
+        assert rc == 3
+        assert "Traceback" not in err
+
+    def test_corpus_header_without_v_exit_code(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "corpus.bin"
+        bad.write_bytes(open(pipeline.corpus, "rb").read())
+        rewrite_header(bad, corpus_module._MAGIC,
+                       lambda h: {k: v for k, v in h.items() if k != "v"})
+        rc, _, err = run(capsys, ["train", "--corpus", str(bad), "--graphs", pipeline.graphs,
                                   "--topics", "2", "--epochs", "1",
                                   "--out", str(tmp_path / "r")] + TRAIN_DIMS)
         assert rc == 3

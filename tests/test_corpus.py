@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ginopic import corpus as corpus_module
 from ginopic.corpus import (
     Corpus,
     Document,
@@ -24,7 +25,7 @@ from ginopic.corpus import (
 from ginopic.errors import ConfigError, ContractError, DataError
 from ginopic.lemmatizer import lemmatize
 
-from conftest import make_document, make_vocabulary
+from conftest import make_document, make_vocabulary, rewrite_header
 
 
 class TestLemmatizer:
@@ -235,6 +236,40 @@ class TestBuildCorpus:
         assert a.sha256 != b.sha256
 
 
+def _drop(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+def _set(**edit):
+    return lambda h: {**h, **edit}
+
+
+HEADER_EDITS = {
+    "bad_json": b'{"version": 1,',
+    "not_utf8": b"\xff\xfe{}",
+    "not_object": b"[1, 2]",
+    "bad_version": _set(version=2),
+    **{f"missing_{key}": _drop(key) for key in (
+        "v", "n_train", "n_validation", "n_test", "label_names", "k_gold",
+        "options", "seed", "ratios")},
+    "v_string": _set(v="8"),
+    "v_negative": _set(v=-1),
+    "v_not_vocabulary_size": _set(v=3),
+    "n_train_float": _set(n_train=8.0),
+    "n_test_past_the_payload": _set(n_test=10_000),
+    "label_names_not_list": _set(label_names="one two"),
+    "label_names_not_strings": _set(label_names=[1, 2, 3]),
+    "k_gold_string": _set(k_gold="3"),
+    "k_gold_negative": _set(k_gold=-3),
+    "options_list": _set(options=[]),
+    "seed_float": _set(seed=7.5),
+    "seed_bool": _set(seed=True),
+    "ratios_two": _set(ratios=[0.5, 0.5]),
+    "ratios_strings": _set(ratios=["0.7", "0.15", "0.15"]),
+    "huge_header_length": None,
+}
+
+
 class TestCorpusCache:
     def _corpus(self):
         texts = [
@@ -295,6 +330,48 @@ class TestCorpusCache:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_corpus(tmp_path / "nope.bin")
+
+    def test_well_formed_rewrite_loads(self, tmp_path):
+        """The malformed cases differ from this one only in the edit."""
+        path = tmp_path / "corpus.bin"
+        save_corpus(self._corpus(), path)
+        rewrite_header(path, corpus_module._MAGIC, lambda h: h)
+        assert load_corpus(path).sha256 == self._corpus().sha256
+
+    @pytest.mark.parametrize("edit", sorted(HEADER_EDITS))
+    def test_malformed_header_is_data_error(self, tmp_path, edit):
+        path = tmp_path / "corpus.bin"
+        save_corpus(self._corpus(), path)
+        rewrite_header(path, corpus_module._MAGIC, HEADER_EDITS[edit])
+        with pytest.raises(DataError):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("old,new", [(b"bravo", b"\xffravo"), (b"bravo", b"alpha")],
+                             ids=["not_utf8", "duplicate_word"])
+    def test_malformed_vocabulary_is_data_error(self, tmp_path, old, new):
+        path = tmp_path / "corpus.bin"
+        save_corpus(self._corpus(), path)
+        blob = path.read_bytes()
+        assert blob.count(old) == 1
+        path.write_bytes(blob.replace(old, new))
+        with pytest.raises(DataError):
+            load_corpus(path)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "corpus.bin"
+        corpus = self._corpus()
+        save_corpus(corpus, path)
+        before = path.read_bytes()
+        doc = corpus.split.train[0]
+        doc.tfidf_values = np.array(["x"] * doc.tfidf_ids.size, dtype=object)
+        with pytest.raises(ValueError):
+            save_corpus(corpus, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.bin"]
+
+    def test_unwritable_path_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot write"):
+            save_corpus(self._corpus(), tmp_path / "missing" / "corpus.bin")
 
     def test_corpus_save_method_matches_function(self, tmp_path):
         corpus = self._corpus()

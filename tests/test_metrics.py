@@ -1,12 +1,14 @@
 """Coherence and diversity metrics against brute-force oracles and hand values."""
 import math
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ginopic.corpus import PreprocessOptions, build_corpus
 from ginopic.errors import ConfigError, ContractError, DataError
 from ginopic.metrics import (
     CV_WINDOW,
@@ -27,6 +29,7 @@ from ginopic.metrics import (
     wi_m,
     write_metrics_report,
 )
+from ginopic.synthetic import labeled_text_corpus
 
 from conftest import make_document, make_embeddings, make_vocabulary
 
@@ -49,6 +52,84 @@ def brute_force_stats(docs, window_size):
                 if a < b:
                     pairs[(a, b)] += 1
     return len(windows), words, pairs
+
+
+def loop_build_cooccurrence(token_documents, window_size):
+    """The per-window pair loop `build_cooccurrence` replaced, kept as the
+    reference: (n_windows, word_counts, pair_counts)."""
+    n_windows, word_counts, pair_counts = 0, Counter(), Counter()
+    for tokens in token_documents:
+        if not tokens:
+            continue
+        n_win = max(1, len(tokens) - window_size + 1)
+        n_windows += n_win
+        for start in range(n_win):
+            present = sorted(set(tokens[start:start + window_size]))
+            for word in present:
+                word_counts[word] += 1
+            for pair in combinations(present, 2):
+                pair_counts[pair] += 1
+    return n_windows, word_counts, pair_counts
+
+
+def tiny_desk_train_tokens():
+    texts, labels, _ = labeled_text_corpus(seed=0, n_docs=96, class_words=20,
+                                           shared_words=60)
+    corpus = build_corpus(texts, labels, PreprocessOptions())
+    return token_documents(corpus.split.train, corpus.vocabulary)
+
+
+def _ramp(n):
+    return [f"w{i % 7}" for i in range(n)]
+
+
+LOOP_CASES = {
+    "empty_docs_interleaved": ([], "aa bb cc aa".split(), [], "dd aa".split(), []),
+    "window_minus_one": (_ramp(4),),
+    "window_exactly": (_ramp(5),),
+    "window_plus_one": (_ramp(6),),
+    "mixed_lengths": (_ramp(4), _ramp(5), _ramp(6), _ramp(17), ["zz"]),
+    "around_cv_window": (_ramp(CV_WINDOW - 1), _ramp(CV_WINDOW), _ramp(CV_WINDOW + 1)),
+    "one_word_fills_window": (["aa"] * 5, ["aa"] * 9 + ["bb"]),
+    "non_ascii": ("café naïve 東京 café ñu 東京 zoë".split(), "ñu zoë".split()),
+}
+
+
+class TestMatchesLoop:
+    """Exact equality with the per-window loop, counts and their types."""
+
+    @staticmethod
+    def assert_matches_loop(docs, window_size):
+        stats = build_cooccurrence(docs, window_size)
+        n_windows, word_counts, pair_counts = loop_build_cooccurrence(docs, window_size)
+        assert stats.n_windows == n_windows
+        assert stats.word_counts == word_counts
+        assert stats.pair_counts == pair_counts
+        assert all(a < b for a, b in stats.pair_counts)
+        counts = list(stats.word_counts.values()) + list(stats.pair_counts.values())
+        assert all(type(c) is int for c in counts)
+        return stats
+
+    @pytest.mark.parametrize("case", sorted(LOOP_CASES))
+    def test_edge_cases(self, case):
+        for window_size in (1, 2, 5, NPMI_WINDOW, CV_WINDOW):
+            self.assert_matches_loop(LOOP_CASES[case], window_size)
+
+    def test_window_one_has_no_pairs(self):
+        stats = self.assert_matches_loop(LOOP_CASES["mixed_lengths"], 1)
+        assert stats.pair_counts == Counter()
+        assert stats.n_windows == 4 + 5 + 6 + 17 + 1
+
+    def test_generator_input(self):
+        docs = LOOP_CASES["mixed_lengths"]
+        stats = build_cooccurrence((list(d) for d in docs), 5)
+        assert stats.pair_counts == loop_build_cooccurrence(docs, 5)[2]
+
+    @pytest.mark.parametrize("window_size", [NPMI_WINDOW, CV_WINDOW])
+    def test_tiny_desk_corpus(self, window_size):
+        docs = tiny_desk_train_tokens()
+        stats = self.assert_matches_loop(docs, window_size)
+        assert len(stats.pair_counts) > 1000
 
 
 class TestCooccurrence:
@@ -361,6 +442,23 @@ class TestOrchestration:
         out = evaluate_topics([["aa", "bb"], ["cc", "dd"]], docs, embeddings=emb)
         assert out["wi_c"] == pytest.approx(1.0)
         assert out["wi_m"] == pytest.approx(1.0)
+
+    def test_evaluate_topics_without_reference(self):
+        vocab = make_vocabulary(["aa", "bb", "cc", "dd"])
+        emb = make_embeddings(vocab, np.eye(4))
+        topics = [["aa", "bb"], ["bb", "aa"]]
+        assert set(evaluate_topics(topics)) == {"irbo"}
+        assert set(evaluate_topics(topics, embeddings=emb)) == {"irbo", "wi_c", "wi_m"}
+        assert evaluate_topics(topics, p=0.5)["irbo"] == irbo(topics, 0.5) != irbo(topics)
+
+    def test_evaluate_topics_uses_both_windows(self):
+        docs = [[f"w{i}" for i in range(40)], ["w0", "w39"]]
+        topics = [["w0", "w39"], ["w1", "w2"]]
+        out = evaluate_topics(topics, docs)
+        assert out["npmi_per_topic"] == [npmi(t, build_cooccurrence(docs, NPMI_WINDOW))
+                                         for t in topics]
+        assert out["cv_per_topic"] == [cv(t, build_cooccurrence(docs, CV_WINDOW))
+                                       for t in topics]
 
     def test_save_load_topics_round_trip(self, tmp_path):
         topics = [["aa", "bb", "cc"], ["dd", "ee", "ff"]]
