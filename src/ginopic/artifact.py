@@ -1,13 +1,17 @@
-"""The binary container shared by the corpus cache, graph cache, embedding
-cache and classifier files: magic line, u64 little-endian header length,
-JSON header (sorted keys, compact), then the format's payload.
+"""The one place this package writes files.
 
-`write_artifact` writes through a temp file in the same directory and
-`os.replace`s it, so a failed write leaves any previous file intact.
-`read_artifact` turns every unreadable, truncated or malformed file into a
-`DataError`: each header field is checked by the caller's validator before
-any code reads it, and every read length is checked against the bytes left
-in the file.
+`atomic_write` writes through a temp file in the same directory and
+`os.replace`s it, so a failed write leaves any previous file intact, and
+turns every OSError into a `DataError`; every text output goes through it,
+tables through `write_tsv`.
+
+`write_artifact`/`read_artifact` are the binary container shared by the
+corpus cache, graph cache, embedding cache, checkpoint and classifier
+files: magic line, u64 little-endian header length, JSON header (sorted
+keys, compact), then the format's payload.  `read_artifact` turns every
+unreadable, truncated or malformed file into a `DataError`: each header
+field is checked by the caller's validator before any code reads it, and
+every read length is checked against the bytes left in the file.
 """
 from __future__ import annotations
 
@@ -19,25 +23,32 @@ import struct
 from .errors import DataError
 
 
+def is_int(value) -> bool:
+    return type(value) is int
+
+
 def is_count(value) -> bool:
-    return type(value) is int and value >= 0
+    return is_int(value) and value >= 0
 
 
 def is_number(value) -> bool:
     return type(value) in (int, float)
 
 
+def has_fields(value, fields: dict) -> bool:
+    """`value` is a dict with exactly the keys of `fields`, each valid."""
+    return type(value) is dict and value.keys() == fields.keys() and all(
+        valid(value[key]) for key, valid in fields.items())
+
+
 @contextlib.contextmanager
-def write_artifact(path, magic: bytes, header: dict, what: str):
-    """Yield a binary file positioned after the header, for the payload."""
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def atomic_write(path, what: str, binary: bool = False):
+    """Yield a file (UTF-8 text unless `binary`) that replaces `path` only
+    once the block completes."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     done = False
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(magic)
-            fh.write(struct.pack("<Q", len(head)))
-            fh.write(head)
+        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
         done = True
@@ -47,6 +58,24 @@ def write_artifact(path, magic: bytes, header: dict, what: str):
         if not done:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
+
+
+def write_tsv(path, rows, what: str) -> None:
+    """Write `rows` (iterables of cells, each formatted with `str`) atomically,
+    one tab-separated line per row."""
+    with atomic_write(path, what) as fh:
+        fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
+
+
+@contextlib.contextmanager
+def write_artifact(path, magic: bytes, header: dict, what: str):
+    """Yield a binary file positioned after the header, for the payload."""
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with atomic_write(path, what, binary=True) as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<Q", len(head)))
+        fh.write(head)
+        yield fh
 
 
 def _parse_header(raw: bytes, fields: dict, what: str, path) -> dict:

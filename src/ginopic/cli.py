@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifact import atomic_write, write_tsv
 from .corpus import (
     PreprocessOptions,
     Vocabulary,
@@ -142,7 +143,7 @@ def _write_config_ini(path, section: str, values: dict) -> None:
     parser[section] = {
         k: ("" if v is None else str(v)) for k, v in sorted(values.items())
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "run config") as fh:
         parser.write(fh)
 
 
@@ -343,8 +344,12 @@ def _resolve_topics(o, corpus) -> int:
 
 
 def _run_one_training(corpus, store, config: TrainConfig, out_dir, paths: dict):
-    """Train once and write the run directory; returns (model, topics, seconds)."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Train once and write the run directory; returns (topics, seconds, final
+    epoch stats)."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise DataError(f"cannot create run directory: {e}", path=out_dir) from e
     t0 = time.perf_counter()
     result = train(corpus, store, config)
     seconds = time.perf_counter() - t0
@@ -359,7 +364,7 @@ def _run_one_training(corpus, store, config: TrainConfig, out_dir, paths: dict):
     _write_config_ini(os.path.join(out_dir, "config.ini"), "train", echo)
     final = result.history[-1]
     log.info("run %s: final loss %.4f (%.1fs)", out_dir, final.total, seconds)
-    return result.model, topics, seconds, final
+    return topics, seconds, final
 
 
 def _reference_stats(corpus):
@@ -372,105 +377,85 @@ def _train_npmi(topics, stats) -> float:
     return float(np.mean([npmi(t, stats) for t in topics]))
 
 
+def _topic_counts(o, corpus) -> list:
+    counts = []
+    for item in o.topic_counts.split(","):
+        item = item.strip()
+        if item == "gold":
+            if corpus.split.k_gold is None:
+                raise ConfigError("`gold` topic count needs a labeled corpus")
+            counts.append(corpus.split.k_gold)
+        elif item:
+            try:
+                counts.append(int(item))
+            except ValueError as e:
+                raise ConfigError(f"bad topic count {item!r}") from e
+    if not counts:
+        raise ConfigError("--topic-counts is empty")
+    return counts
+
+
+def _sweep_runs(o, corpus, embeddings, deltas, topics_k):
+    """One delta-sweep run per delta; each graph store is built only when its
+    run comes up, so one store at a time is held."""
+    for delta in deltas:
+        t0 = time.perf_counter()
+        store = build_all_graphs(corpus, embeddings, delta)
+        build_s = time.perf_counter() - t0
+        cells = (f"{graph_density_report(store).mean_edges:.3f}", f"{build_s:.3f}")
+        config = _train_config_from(o, topics_k, o.seed)
+        yield f"{delta:g}", f"delta{delta:g}", config, store, cells
+
+
 def _cmd_train(o) -> int:
     corpus = load_corpus(o.corpus)
-    topics_k = _resolve_topics(o, corpus)
     paths = {"corpus_path": o.corpus, "graphs_path": o.graphs or ""}
 
+    # a batch is (key columns, table file, runs): each run is (key,
+    # subdirectory, config, graph store, cells between key and final_loss)
     if o.delta_sweep:
         if not o.embeddings:
             raise ConfigError("--delta-sweep needs --embeddings to rebuild graphs")
+        deltas = [validate_delta(d) for d in o.delta_sweep]
         embeddings = load_embeddings(o.embeddings, corpus.vocabulary, seed=o.seed)
-        stats = _reference_stats(corpus)
-        os.makedirs(o.out, exist_ok=True)
-        _emit("delta", "mean_edges", "build_seconds", "train_seconds", "npmi")
-        rows = []
-        for delta in o.delta_sweep:
-            delta = validate_delta(delta)
-            t0 = time.perf_counter()
-            store = build_all_graphs(corpus, embeddings, delta)
-            build_s = time.perf_counter() - t0
-            report = graph_density_report(store)
-            config = _train_config_from(o, topics_k, o.seed)
-            run_dir = os.path.join(o.out, f"delta{delta:g}")
-            _, topics, train_s, _ = _run_one_training(corpus, store, config, run_dir, paths)
-            score = _train_npmi(topics, stats)
-            row = (f"{delta:g}", f"{report.mean_edges:.3f}", f"{build_s:.3f}",
-                   f"{train_s:.3f}", f"{score:.6f}")
-            rows.append(row)
-            _emit(*row)
-        with open(os.path.join(o.out, "sweep.tsv"), "w", encoding="utf-8") as fh:
-            fh.write("delta\tmean_edges\tbuild_seconds\ttrain_seconds\tnpmi\n")
-            for row in rows:
-                fh.write("\t".join(row) + "\n")
-        return 0
-
-    if not o.graphs:
-        raise ConfigError("--graphs is required (or use --delta-sweep with --embeddings)")
-    store = load_graph_store(o.graphs)
-
-    if o.topic_counts:
-        counts = []
-        for item in o.topic_counts.split(","):
-            item = item.strip()
-            if item == "gold":
-                if corpus.split.k_gold is None:
-                    raise ConfigError("`gold` topic count needs a labeled corpus")
-                counts.append(corpus.split.k_gold)
-            elif item:
-                try:
-                    counts.append(int(item))
-                except ValueError as e:
-                    raise ConfigError(f"bad topic count {item!r}") from e
-        if not counts:
-            raise ConfigError("--topic-counts is empty")
-        stats = _reference_stats(corpus)
-        os.makedirs(o.out, exist_ok=True)
-        _emit("topics", "final_loss", "train_seconds", "npmi")
-        rows = []
-        for k in counts:
-            config = _train_config_from(o, k, o.seed)
-            run_dir = os.path.join(o.out, f"K{k}")
-            _, topics, secs, final = _run_one_training(corpus, store, config, run_dir, paths)
-            score = _train_npmi(topics, stats)
-            row = (str(k), f"{final.total:.6f}", f"{secs:.3f}", f"{score:.6f}")
-            rows.append(row)
-            _emit(*row)
-        with open(os.path.join(o.out, "aggregate.tsv"), "w", encoding="utf-8") as fh:
-            fh.write("topics\tfinal_loss\ttrain_seconds\tnpmi\n")
-            for row in rows:
-                fh.write("\t".join(row) + "\n")
-        return 0
-
-    n_seeds = o.seeds or 1
-    if n_seeds < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {n_seeds}")
-    if n_seeds == 1:
-        config = _train_config_from(o, topics_k, o.seed)
-        _, topics, secs, final = _run_one_training(corpus, store, config, o.out, paths)
-        _emit("topics", "seed", "final_loss", "train_seconds")
-        _emit(topics_k, o.seed, f"{final.total:.6f}", f"{secs:.3f}")
-        return 0
+        head, table = ("delta", "mean_edges", "build_seconds"), "sweep.tsv"
+        runs = _sweep_runs(o, corpus, embeddings, deltas, _resolve_topics(o, corpus))
+    else:
+        if not o.graphs:
+            raise ConfigError("--graphs is required (or use --delta-sweep with --embeddings)")
+        store = load_graph_store(o.graphs)
+        if o.topic_counts:
+            head, table = ("topics",), "aggregate.tsv"
+            runs = [(str(k), f"K{k}", _train_config_from(o, k, o.seed), store, ())
+                    for k in _topic_counts(o, corpus)]
+        else:
+            topics_k = _resolve_topics(o, corpus)
+            n_seeds = o.seeds or 1
+            if n_seeds < 1:
+                raise ConfigError(f"--seeds must be >= 1, got {n_seeds}")
+            if n_seeds == 1:
+                config = _train_config_from(o, topics_k, o.seed)
+                _, secs, final = _run_one_training(corpus, store, config, o.out, paths)
+                _emit("topics", "seed", "final_loss", "train_seconds")
+                _emit(topics_k, o.seed, f"{final.total:.6f}", f"{secs:.3f}")
+                return 0
+            head, table = ("seed",), "aggregate.tsv"
+            runs = [(str(s), f"seed{s}", _train_config_from(o, topics_k, s), store, ())
+                    for s in range(o.seed, o.seed + n_seeds)]
 
     stats = _reference_stats(corpus)
-    os.makedirs(o.out, exist_ok=True)
-    _emit("seed", "final_loss", "train_seconds", "npmi")
-    rows = []
-    for seed in range(o.seed, o.seed + n_seeds):
-        config = _train_config_from(o, topics_k, seed)
-        run_dir = os.path.join(o.out, f"seed{seed}")
-        _, topics, secs, final = _run_one_training(corpus, store, config, run_dir, paths)
-        score = _train_npmi(topics, stats)
-        row = (str(seed), f"{final.total:.6f}", f"{secs:.3f}", f"{score:.6f}")
-        rows.append(row)
-        _emit(*row)
-    mean_npmi = float(np.mean([float(r[3]) for r in rows]))
-    _emit("mean", "", "", f"{mean_npmi:.6f}")
-    with open(os.path.join(o.out, "aggregate.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("seed\tfinal_loss\ttrain_seconds\tnpmi\n")
-        for row in rows:
-            fh.write("\t".join(row) + "\n")
-        fh.write(f"mean\t\t\t{mean_npmi:.6f}\n")
+    rows = [head + ("final_loss", "train_seconds", "npmi")]
+    _emit(*rows[0])
+    for key, subdir, config, store, cells in runs:
+        topics, secs, final = _run_one_training(corpus, store, config,
+                                                os.path.join(o.out, subdir), paths)
+        rows.append((key, *cells, f"{final.total:.6f}", f"{secs:.3f}",
+                     f"{_train_npmi(topics, stats):.6f}"))
+        _emit(*rows[-1])
+    if head == ("seed",):  # only a seed batch averages its runs
+        rows.append(("mean", "", "", f"{np.mean([float(r[-1]) for r in rows[1:]]):.6f}"))
+        _emit(*rows[-1])
+    write_tsv(os.path.join(o.out, table), rows, "batch table")
     return 0
 
 
@@ -525,28 +510,23 @@ def _cmd_classify(o) -> int:
 
     if o.runs < 1:
         raise ConfigError(f"--runs must be >= 1, got {o.runs}")
-    rows = []
-    _emit("run", "seed", "accuracy")
-    classifier = None
-    svm_config = None
+    rows = [("run", "seed", "accuracy")]
+    _emit(*rows[0])
+    accuracies = []
     for r in range(o.runs):
         svm_config = SvmConfig(epochs=o.svm_epochs, lr=o.svm_lr, l2=o.svm_l2,
                                seed=o.seed + r)
         classifier = train_classifier(theta_train, y_train, svm_config)
-        acc = evaluate_accuracy(classifier, theta_test, y_test)
-        rows.append((r, o.seed + r, acc))
-        _emit(r, o.seed + r, f"{acc:.6f}")
-    mean_acc = float(np.mean([a for _, _, a in rows]))
-    _emit("mean", "", f"{mean_acc:.6f}")
+        accuracies.append(evaluate_accuracy(classifier, theta_test, y_test))
+        rows.append((r, o.seed + r, f"{accuracies[-1]:.6f}"))
+        _emit(*rows[-1])
+    rows.append(("mean", "", f"{float(np.mean(accuracies)):.6f}"))
+    _emit(*rows[-1])
     if o.save_classifier:
         save_classifier(classifier, svm_config, o.save_classifier)
         log.info("classifier written to %s", o.save_classifier)
     if o.out:
-        with open(o.out, "w", encoding="utf-8") as fh:
-            fh.write("run\tseed\taccuracy\n")
-            for r, seed, acc in rows:
-                fh.write(f"{r}\t{seed}\t{acc:.6f}\n")
-            fh.write(f"mean\t\t{mean_acc:.6f}\n")
+        write_tsv(o.out, rows, "accuracy table")
     return 0
 
 
@@ -561,13 +541,8 @@ def _cmd_export(o) -> int:
             raise ContractError("graph store was built from a different corpus")
         export_theta(model, corpus, store, o.out)
     elif o.what == "beta":
-        beta = model.beta.data
-        try:
-            with open(o.out, "w", encoding="utf-8") as fh:
-                for k in range(beta.shape[0]):
-                    fh.write(str(k) + "\t" + "\t".join(f"{v:.9g}" for v in beta[k]) + "\n")
-        except OSError as e:
-            raise DataError(f"cannot write beta export: {e}", path=o.out) from e
+        write_tsv(o.out, ((k, *(f"{v:.9g}" for v in row))
+                          for k, row in enumerate(model.beta.data)), "beta export")
     elif o.what == "topics":
         topics = top_words(model.beta.data, min(o.top_n, len(corpus.vocabulary)),
                            corpus.vocabulary)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifact import is_count, is_number, read_artifact, write_artifact
+from .artifact import is_count, is_int, is_number, read_artifact, write_artifact, write_tsv
 from .errors import ConfigError, ContractError, DataError
 from .lemmatizer import lemmatize
 from .rng import stream
@@ -382,9 +382,7 @@ def load_labels(path) -> list:
 
 def save_vocabulary(vocabulary: Vocabulary, path) -> None:
     """One word per line; the line number (from 0) is the word id."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for word in vocabulary.words:
-            fh.write(word + "\n")
+    write_tsv(path, ([word] for word in vocabulary.words), "vocabulary")
 
 
 def _doc_bytes(doc: Document) -> bytes:
@@ -419,7 +417,7 @@ _HEADER_FIELDS = {
                                            and all(type(name) is str for name in v)),
     "k_gold": lambda v: v is None or is_count(v),
     "options": lambda v: type(v) is dict,
-    "seed": lambda v: type(v) is int,
+    "seed": is_int,
     "ratios": lambda v: type(v) is list and len(v) == 3 and all(map(is_number, v)),
 }
 
@@ -463,6 +461,12 @@ def load_corpus(path) -> Corpus:
             raise DataError(f"corpus cache holds an invalid vocabulary: {e}", path=path) from e
         parts = [[_read_doc(read) for _ in range(header[key])]
                  for key in ("n_train", "n_validation", "n_test")]
+    docs = [d for part in parts for d in part]
+    ids = np.concatenate([np.empty(0, np.int32)] + [d.token_ids for d in docs]
+                         + [d.tfidf_ids for d in docs if d.tfidf_ids is not None])
+    if ids.size and (ids.min() < 0 or ids.max() >= v):
+        raise DataError(f"corpus cache holds a word id outside its {v}-word vocabulary",
+                        path=path)
     split = CorpusSplit(
         train=parts[0],
         validation=parts[1],

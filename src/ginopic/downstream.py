@@ -32,7 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifact import is_count, is_number, read_artifact, write_artifact
+from .artifact import (
+    has_fields, is_count, is_int, is_number, read_artifact, write_artifact, write_tsv,
+)
 from .errors import ConfigError, ContractError, DataError
 from .rng import stream
 
@@ -172,14 +174,8 @@ def export_theta(model, corpus, graphs, path) -> None:
     if len(docs) != len(all_graphs):
         raise ContractError(f"{len(docs)} documents but {len(all_graphs)} graphs")
     theta = infer_theta(model, docs, all_graphs)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for i, (doc, row) in enumerate(zip(docs, theta)):
-                label = -1 if doc.label is None else int(doc.label)
-                vals = "\t".join(f"{v:.9g}" for v in row)
-                fh.write(f"{i}\t{label}\t{vals}\n")
-    except OSError as e:
-        raise DataError(f"cannot write theta export: {e}", path=path) from e
+    write_tsv(path, ((i, -1 if doc.label is None else int(doc.label), *(f"{v:.9g}" for v in row))
+                     for i, (doc, row) in enumerate(zip(docs, theta))), "theta export")
 
 
 def _is_class_list(v) -> bool:
@@ -190,9 +186,8 @@ def _is_class_list(v) -> bool:
 _HEADER_FIELDS = {
     "classes": _is_class_list,
     "n_features": lambda v: is_count(v) and v > 0,
-    "config": lambda v: (type(v) is dict and v.keys() == SvmConfig().to_dict().keys()
-                         and all(map(is_number, v.values()))
-                         and type(v["epochs"]) is int and type(v["seed"]) is int),
+    "config": lambda v: has_fields(v, {"epochs": is_int, "lr": is_number, "l2": is_number,
+                                       "seed": is_int}),
 }
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifact import is_count, read_artifact, write_artifact
+from .artifact import is_count, is_int, read_artifact, write_artifact
 from .corpus import Vocabulary
 from .errors import DataError
 from .rng import stream
@@ -126,7 +126,11 @@ def load_embeddings(path, vocabulary: Vocabulary, seed: int = 0) -> EmbeddingMat
         raise DataError(f"cannot read embedding file: {e}", path=path) from e
     if is_binary:
         return _load_binary(path, vocabulary)
-    found, dim = _parse_text(path, vocabulary)
+    try:
+        found, dim = _parse_text(path, vocabulary)
+    except UnicodeDecodeError as e:
+        raise DataError(f"embedding file is neither UTF-8 text nor a binary cache: {e}",
+                        path=path) from e
     if not found:
         raise DataError("embedding file shares no words with the vocabulary", path=path)
     vectors = np.empty((len(vocabulary), dim), dtype=np.float32)
@@ -159,7 +163,7 @@ def save_binary(embeddings: EmbeddingMatrix, path) -> None:
 _HEADER_FIELDS = {
     "v": is_count,
     "dim": lambda v: is_count(v) and v > 0,
-    "seed": lambda v: type(v) is int,
+    "seed": is_int,
     "vocab_sha256": lambda v: type(v) is str,
 }
 

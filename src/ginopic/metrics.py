@@ -29,6 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .artifact import atomic_write, write_tsv
 from .embedding import EmbeddingMatrix, cosine_similarity
 from .errors import ConfigError, ContractError, DataError
 
@@ -285,12 +286,7 @@ def evaluate_topics(topics, reference_token_docs=None, embeddings: EmbeddingMatr
 
 def save_topics(topics, path) -> None:
     """One topic per line, words space-separated in rank order."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for topic in topics:
-                fh.write(" ".join(topic) + "\n")
-    except OSError as e:
-        raise DataError(f"cannot write topics: {e}", path=path) from e
+    write_tsv(path, ([" ".join(topic)] for topic in topics), "topics")
 
 
 def load_topics(path) -> list:
@@ -307,14 +303,9 @@ def load_topics(path) -> list:
 def write_metrics_report(metrics: dict, tsv_path, json_path=None) -> None:
     """Scalar metrics as TSV (metric, value); full dict as JSON alongside."""
     scalars = {k: v for k, v in metrics.items() if isinstance(v, (int, float))}
-    try:
-        with open(tsv_path, "w", encoding="utf-8") as fh:
-            fh.write("metric\tvalue\n")
-            for key in sorted(scalars):
-                fh.write(f"{key}\t{scalars[key]:.9g}\n")
-        if json_path is not None:
-            with open(json_path, "w", encoding="utf-8") as fh:
-                json.dump(metrics, fh, sort_keys=True, indent=2)
-                fh.write("\n")
-    except OSError as e:
-        raise DataError(f"cannot write metrics report: {e}", path=tsv_path) from e
+    write_tsv(tsv_path, [("metric", "value"), *((key, f"{scalars[key]:.9g}")
+                                                for key in sorted(scalars))], "metrics report")
+    if json_path is not None:
+        with atomic_write(json_path, "metrics report") as fh:
+            json.dump(metrics, fh, sort_keys=True, indent=2)
+            fh.write("\n")

@@ -25,15 +25,15 @@ and the loss is the batch mean of their sum.
 """
 from __future__ import annotations
 
-import io
-import json
-import struct
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
+from .artifact import (
+    has_fields, is_count, is_int, is_number, read_artifact, write_artifact, write_tsv,
+)
 from .corpus import Corpus, tfidf_dense
 from .docgraph import GraphStore
 from .errors import ConfigError, ContractError, DataError, NumericsError
@@ -385,13 +385,9 @@ def train(corpus: Corpus, graphs: GraphStore, config: TrainConfig) -> TrainResul
 
 def save_history(history, path) -> None:
     """Tab-separated epoch log: epoch, L_RL, L_KL, total, wall seconds."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch\treconstruction\tkl\ttotal\tseconds\n")
-        for h in history:
-            fh.write(
-                f"{h.epoch}\t{h.reconstruction:.6f}\t{h.kl:.6f}\t"
-                f"{h.total:.6f}\t{h.seconds:.3f}\n"
-            )
+    write_tsv(path, [("epoch", "reconstruction", "kl", "total", "seconds"),
+                     *((h.epoch, f"{h.reconstruction:.6f}", f"{h.kl:.6f}", f"{h.total:.6f}",
+                        f"{h.seconds:.3f}") for h in history)], "epoch log")
 
 
 def infer_theta(model: TopicModel, documents, graphs, batch_size: int = 256) -> np.ndarray:
@@ -427,8 +423,31 @@ def top_words(beta: np.ndarray, n: int, vocabulary) -> list:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+# exactly the keys of GinConfig.to_dict() and TrainConfig.to_dict()
+_GIN_FIELDS = {**dict.fromkeys(("tau", "hidden", "tau_out", "layers", "mlp_hidden_layers"),
+                               is_int),
+               "epsilon": is_number}
+_CONFIG_FIELDS = {
+    **dict.fromkeys(("topics", "encoder_hidden", "encoder_layers", "batch_size", "epochs",
+                     "seed"), is_int),
+    **dict.fromkeys(("dropout", "lr"), is_number),
+    **dict.fromkeys(("alpha", "delta"), lambda v: v is None or is_number(v)),
+    "gin": lambda v: has_fields(v, _GIN_FIELDS),
+}
+_HEADER_FIELDS = {
+    "config": lambda v: has_fields(v, _CONFIG_FIELDS),
+    "vocab_size": is_count,
+    "vocab_sha256": lambda v: type(v) is str,
+    "trained_epochs": is_count,
+    # checked entry by entry against the rebuilt model's inventories
+    "params": lambda v: type(v) is list,
+    "buffers": lambda v: type(v) is list,
+}
+
+
 def save_checkpoint(model: TopicModel, path) -> None:
-    """GINOCKPT1: UTF-8 header (config, shapes, vocab hash) + f32 LE payloads."""
+    """GINOCKPT1: header (config, shapes, vocab hash) + f32 LE payloads,
+    written atomically (see `artifact.write_artifact`)."""
     params = model.parameters()
     buffers = model.buffers()
     header = {
@@ -440,27 +459,11 @@ def save_checkpoint(model: TopicModel, path) -> None:
         "params": [[name, list(t.shape)] for name, t in params],
         "buffers": [[name, list(b.shape)] for name, b in buffers],
     }
-    blob = io.BytesIO()
-    blob.write(_MAGIC)
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blob.write(struct.pack("<Q", len(head)))
-    blob.write(head)
-    for _, t in params:
-        blob.write(t.data.astype("<f4").tobytes())
-    for _, b in buffers:
-        blob.write(b.astype("<f4").tobytes())
-    try:
-        with open(path, "wb") as fh:
-            fh.write(blob.getvalue())
-    except OSError as e:
-        raise DataError(f"cannot write checkpoint: {e}", path=path) from e
-
-
-def _read_exact(fh, n: int, path) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise DataError("truncated checkpoint", path=path)
-    return buf
+    with write_artifact(path, _MAGIC, header, "checkpoint") as fh:
+        for _, t in params:
+            fh.write(t.data.astype("<f4").tobytes())
+        for _, b in buffers:
+            fh.write(b.astype("<f4").tobytes())
 
 
 def load_checkpoint(path, vocabulary=None) -> TopicModel:
@@ -469,36 +472,27 @@ def load_checkpoint(path, vocabulary=None) -> TopicModel:
     When `vocabulary` is given its hash must match the checkpoint's; a model
     cannot be applied to a corpus with a different vocabulary.
     """
-    try:
-        fh = open(path, "rb")
-    except OSError as e:
-        raise DataError(f"cannot read checkpoint: {e}", path=path) from e
-    with fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise DataError("not a checkpoint (bad magic)", path=path)
-        (head_len,) = struct.unpack("<Q", _read_exact(fh, 8, path))
-        header = json.loads(_read_exact(fh, head_len, path).decode("utf-8"))
-        if header.get("version") != 1:
-            raise DataError(f"unsupported checkpoint version {header.get('version')}", path=path)
+    with read_artifact(path, _MAGIC, _HEADER_FIELDS, "checkpoint") as (header, read):
         if vocabulary is not None and vocabulary.sha256 != header["vocab_sha256"]:
             raise DataError("checkpoint was trained with a different vocabulary", path=path)
-        config = TrainConfig.from_dict(header["config"])
-        model = TopicModel(header["vocab_size"], config, vocab_sha256=header["vocab_sha256"])
+        try:
+            model = TopicModel(header["vocab_size"], TrainConfig.from_dict(header["config"]),
+                               vocab_sha256=header["vocab_sha256"])
+        except ConfigError as e:
+            raise DataError(f"checkpoint holds an invalid config: {e}", path=path) from e
         model.trained_epochs = header["trained_epochs"]
         params = model.parameters()
-        if [[name, list(t.shape)] for name, t in params] != header["params"]:
-            raise DataError("checkpoint parameter inventory does not match config", path=path)
-        for name, t in params:
-            count = int(np.prod(t.shape)) if t.shape else 1
-            raw = np.frombuffer(_read_exact(fh, 4 * count, path), dtype="<f4")
-            t.data = raw.reshape(t.shape).astype(t.dtype)
         buffers = model.buffers()
-        if [[name, list(b.shape)] for name, b in buffers] != header["buffers"]:
-            raise DataError("checkpoint buffer inventory does not match config", path=path)
-        for i, (name, b) in enumerate(buffers):
-            count = int(np.prod(b.shape)) if b.shape else 1
-            raw = np.frombuffer(_read_exact(fh, 4 * count, path), dtype="<f4")
-            b[...] = raw.reshape(b.shape).astype(b.dtype)
-        if fh.read(1):
-            raise DataError("trailing bytes after checkpoint payload", path=path)
+        for key, entries in (("params", params), ("buffers", buffers)):
+            if [[name, list(x.shape)] for name, x in entries] != header[key]:
+                raise DataError(f"checkpoint {key} inventory does not match config", path=path)
+
+        def payload(shape) -> np.ndarray:
+            raw = read(4 * int(np.prod(shape)))
+            return np.frombuffer(raw, dtype="<f4").reshape(shape)
+
+        for _, t in params:
+            t.data = payload(t.shape).astype(t.dtype)
+        for _, b in buffers:
+            b[...] = payload(b.shape)
     return model

@@ -1,0 +1,114 @@
+"""The shared artifact container: every binary format fails closed on damage,
+and no module but `artifact.py` opens a file for writing."""
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import ginopic
+from ginopic.corpus import build_corpus, load_corpus, save_corpus
+from ginopic.docgraph import build_all_graphs, load_graph_store, save_graph_store
+from ginopic.downstream import LinearClassifier, SvmConfig, load_classifier, save_classifier
+from ginopic.embedding import load_embeddings, save_binary
+from ginopic.errors import DataError
+from ginopic.gin import GinConfig
+from ginopic.topicmodel import TopicModel, TrainConfig, load_checkpoint, save_checkpoint
+
+from conftest import make_embeddings
+
+TEXTS = ["apple banana cherry apple", "banana cherry melon", "engine wheel brake",
+         "wheel brake motor engine", "apple melon cherry", "motor engine wheel"]
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """format -> (file bytes, loader) for one tiny file of each binary format."""
+    root = tmp_path_factory.mktemp("artifacts")
+    corpus = build_corpus(TEXTS, labels=["f", "f", "a", "a", "f", "a"], seed=0)
+    vocab = corpus.vocabulary
+    gen = np.random.default_rng(0)
+    embeddings = make_embeddings(vocab, gen.standard_normal((len(vocab), 3)))
+    config = TrainConfig(topics=2, gin=GinConfig(tau=2, hidden=2, tau_out=2),
+                         encoder_hidden=2, epochs=1)
+    clf = LinearClassifier(classes=np.array([0, 1]), weights=gen.standard_normal((2, 2)),
+                           biases=gen.standard_normal(2))
+    writers = {
+        "GINOCORP1": (lambda p: save_corpus(corpus, p), load_corpus),
+        "GINOGRAPH1": (lambda p: save_graph_store(build_all_graphs(corpus, embeddings, 0.0), p),
+                       load_graph_store),
+        "GINOEMB1": (lambda p: save_binary(embeddings, p),
+                     lambda p: load_embeddings(p, vocab)),
+        "GINOCKPT1": (lambda p: save_checkpoint(TopicModel(len(vocab), config), p),
+                      load_checkpoint),
+        "GINOCLF1": (lambda p: save_classifier(clf, SvmConfig(epochs=3), p), load_classifier),
+    }
+    out = {}
+    for name, (write, load) in writers.items():
+        path = root / f"{name}.bin"
+        write(path)
+        load(path)  # the undamaged file loads
+        out[name] = (path.read_bytes(), load, root / f"{name}.damaged")
+    return out
+
+
+FORMATS = ["GINOCORP1", "GINOGRAPH1", "GINOEMB1", "GINOCKPT1", "GINOCLF1"]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@given(data=st.data())
+def test_truncation_is_data_error(artifacts, fmt, data):
+    blob, load, path = artifacts[fmt]
+    path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1), label="length")])
+    with pytest.raises(DataError):
+        load(path)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@given(data=st.data())
+def test_bit_flip_loads_or_is_data_error(artifacts, fmt, data):
+    blob, load, path = artifacts[fmt]
+    damaged = bytearray(blob)
+    damaged[data.draw(st.integers(0, len(blob) - 1), label="byte")] ^= 1 << data.draw(
+        st.integers(0, 7), label="bit")
+    path.write_bytes(bytes(damaged))
+    try:
+        load(path)
+    except DataError:
+        pass
+
+
+def _write_opens(source: str) -> list:
+    """Line numbers of the calls in `source` that open a file for writing:
+    `open(...)` (any `.open` too) whose mode is not a constant read mode, and
+    `.write_text`/`.write_bytes`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            lines.append(node.lineno)
+        elif name == "open":
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        node.args[1] if len(node.args) > 1 else ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_write_open_detector():
+    source = ('open(p)\nopen(p, "rb")\nopen(p, mode="r")\nopen(p, "w")\n'
+              'open(p, mode="ab")\nio.open(p, m)\np.write_text("x")\nopen(p, "r+")\n')
+    assert _write_opens(source) == [4, 5, 6, 7, 8]
+
+
+def test_only_artifact_opens_files_for_writing():
+    package = Path(ginopic.__file__).parent
+    offenders = {path.name: _write_opens(path.read_text(encoding="utf-8"))
+                 for path in sorted(package.glob("*.py")) if path.name != "artifact.py"}
+    assert {name: lines for name, lines in offenders.items() if lines} == {}

@@ -12,7 +12,7 @@ import types
 import numpy as np
 import pytest
 
-from ginopic import cli, corpus as corpus_module
+from ginopic import cli, corpus as corpus_module, topicmodel
 from ginopic.cli import main
 from ginopic.corpus import load_corpus
 from ginopic.docgraph import load_graph_store, save_graph_store
@@ -40,6 +40,12 @@ def run(capsys, args):
 def write_bad_header_cache(path):
     head = b'{"version": 1, "delta": '
     path.write_bytes(b"GINOGRAPH1\n" + struct.pack("<Q", len(head)) + head)
+
+
+def assert_one_line_error(err: str) -> None:
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("ERROR")] == [
+        err.strip().splitlines()[-1]]
 
 
 def parse_table(out: str) -> dict:
@@ -248,7 +254,21 @@ class TestTrain:
         assert (out_dir / "K3" / "topics.txt").exists()
         assert (out_dir / "K2" / "topics.txt").exists()
         assert len((out_dir / "K3" / "topics.txt").read_text().strip().split("\n")) == 3
-        assert (out_dir / "aggregate.tsv").exists()
+        agg = (out_dir / "aggregate.tsv").read_text().strip().split("\n")
+        assert agg[0].split("\t") == ["topics", "final_loss", "train_seconds", "npmi"]
+        assert [r.split("\t")[0] for r in agg[1:]] == ["3", "2"]
+
+    def test_topic_counts_need_no_label_count(self, pipeline, tmp_path, capsys):
+        corpus, graphs = str(tmp_path / "nolabel.bin"), str(tmp_path / "graphs.bin")
+        assert main(["preprocess", "--input", str(pipeline.root / "raw.txt"),
+                     "--out", corpus]) == 0
+        assert main(["build-graphs", "--corpus", corpus, "--embeddings", pipeline.emb,
+                     "--delta", "0.5", "--out", graphs]) == 0
+        rc, out, _ = run(capsys, ["train", "--corpus", corpus, "--graphs", graphs,
+                                  "--epochs", "1", "--topic-counts", "2,3",
+                                  "--out", str(tmp_path / "bycount")] + TRAIN_DIMS)
+        assert rc == 0
+        assert list(parse_table(out)) == ["topics", "2", "3"]
 
     def test_delta_sweep(self, pipeline, tmp_path, capsys):
         out_dir = tmp_path / "sweep"
@@ -258,8 +278,11 @@ class TestTrain:
                                   "--out", str(out_dir)] + TRAIN_DIMS)
         assert rc == 0
         sweep = (out_dir / "sweep.tsv").read_text().strip().split("\n")
-        assert sweep[0].split("\t")[0] == "delta"
+        assert sweep[0].split("\t") == ["delta", "mean_edges", "build_seconds",
+                                        "final_loss", "train_seconds", "npmi"]
+        assert out.strip().split("\n") == sweep
         rows = [line.split("\t") for line in sweep[1:]]
+        assert all(len(r) == 6 for r in rows)
         assert [r[0] for r in rows] == ["0.3", "0.6"]
         # lower threshold admits at least as many edges
         assert float(rows[0][1]) >= float(rows[1][1])
@@ -335,6 +358,15 @@ class TestTrain:
         assert rc == 3
         assert "Traceback" not in err
 
+    def test_run_directory_under_a_file_exit_code(self, pipeline, tmp_path, capsys):
+        (tmp_path / "plain").write_text("")
+        rc, _, err = run(capsys, ["train", "--corpus", pipeline.corpus,
+                                  "--graphs", pipeline.graphs, "--topics", "2",
+                                  "--epochs", "1",
+                                  "--out", str(tmp_path / "plain" / "sub")] + TRAIN_DIMS)
+        assert rc == 3
+        assert_one_line_error(err)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, pipeline, tmp_path, capsys):
         rc, _, _ = run(capsys, ["train", "--corpus", pipeline.corpus,
@@ -386,6 +418,20 @@ class TestEvalTopics:
         rc, _, _ = run(capsys, ["eval-topics", "--model", pipeline.model])
         assert rc == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda h: {k: v for k, v in h.items() if k != "vocab_size"},
+        lambda h: {**h, "config": {**h["config"], "momentum": 0.9}},
+        b'{"version": 1,',
+    ], ids=["missing_vocab_size", "config_unknown_key", "bad_json"])
+    def test_malformed_checkpoint_exit_code(self, pipeline, tmp_path, capsys, edit):
+        bad = tmp_path / "model.ckpt"
+        bad.write_bytes(open(pipeline.model, "rb").read())
+        rewrite_header(bad, topicmodel._MAGIC, edit)
+        rc, _, err = run(capsys, ["eval-topics", "--model", str(bad),
+                                  "--corpus", pipeline.corpus])
+        assert rc == 3
+        assert_one_line_error(err)
+
 
 class TestClassify:
     def test_accuracy_table(self, pipeline, tmp_path, capsys):
@@ -407,6 +453,16 @@ class TestClassify:
         clf, config = load_classifier(clf_path)
         assert config.epochs == 25
         assert clf.weights.shape == (2, 2)
+
+    def test_out_in_missing_directory_exit_code(self, pipeline, tmp_path, capsys):
+        rc, _, err = run(capsys, ["classify", "--model", pipeline.model,
+                                  "--corpus", pipeline.corpus,
+                                  "--graphs", pipeline.graphs, "--runs", "1",
+                                  "--svm-epochs", "2",
+                                  "--out", str(tmp_path / "missing" / "acc.tsv")])
+        assert rc == 3
+        assert_one_line_error(err)
+        assert not (tmp_path / "missing").exists()
 
     def test_unlabeled_corpus_rejected(self, pipeline, tmp_path, capsys):
         corpus = str(tmp_path / "nolabel.bin")
@@ -478,6 +534,15 @@ class TestExport:
         words = vocab.read_text().strip().split("\n")
         assert len(words) == 16
         assert set(words) == set(FRUIT) | set(AUTO)
+
+    @pytest.mark.parametrize("what", ["theta", "beta", "topics", "vocab"])
+    def test_out_in_missing_directory_exit_code(self, pipeline, tmp_path, capsys, what):
+        rc, _, err = run(capsys, ["export", "--model", pipeline.model,
+                                  "--corpus", pipeline.corpus,
+                                  "--graphs", pipeline.graphs, "--what", what,
+                                  "--out", str(tmp_path / "missing" / "out.tsv")])
+        assert rc == 3
+        assert_one_line_error(err)
 
     def test_unknown_what(self, pipeline, tmp_path, capsys):
         rc, _, _ = run(capsys, ["export", "--model", pipeline.model,

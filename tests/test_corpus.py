@@ -357,6 +357,19 @@ class TestCorpusCache:
         with pytest.raises(DataError):
             load_corpus(path)
 
+    @pytest.mark.parametrize("where,value", [("token_ids", 9999), ("token_ids", -1),
+                                             ("tfidf_ids", 8)],
+                             ids=["token_past_vocabulary", "token_negative",
+                                  "tfidf_past_vocabulary"])
+    def test_word_id_outside_vocabulary_is_data_error(self, tmp_path, where, value):
+        corpus = self._corpus()
+        assert len(corpus.vocabulary) == 8
+        getattr(corpus.split.train[0], where)[0] = value
+        path = tmp_path / "corpus.bin"
+        save_corpus(corpus, path)
+        with pytest.raises(DataError, match="outside"):
+            load_corpus(path)
+
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "corpus.bin"
         corpus = self._corpus()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ginopic.tensor as T
+from ginopic import topicmodel
 from ginopic.corpus import Vocabulary
 from ginopic.docgraph import build_all_graphs
 from ginopic.errors import ConfigError, ContractError, DataError, NumericsError
@@ -26,6 +27,8 @@ from ginopic.topicmodel import (
     top_words,
     train,
 )
+
+from conftest import rewrite_header
 
 F64 = np.float64
 
@@ -387,6 +390,26 @@ class TestTopWords:
             top_words(np.ones(3), 1, vocab)
 
 
+def _drop(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+def _config(**edit):
+    return lambda h: {**h, "config": {**h["config"], **edit}}
+
+
+CHECKPOINT_HEADER_EDITS = {
+    "missing_vocab_size": _drop("vocab_size"),
+    "config_unknown_key": _config(momentum=0.9),
+    "tau_string": lambda h: {**h, "config": {**h["config"],
+                                             "gin": {**h["config"]["gin"], "tau": "8"}}},
+    "not_json": b"\x00not json",
+    "topics_one": _config(topics=1),
+    "params_not_list": lambda h: {**h, "params": {"beta": [2, 8]}},
+    "vocab_size_zero": lambda h: {**h, "vocab_size": 0},
+}
+
+
 class TestCheckpoints:
     def test_round_trip_bitwise(self, tiny_data, tmp_path):
         corpus, graphs = tiny_data
@@ -459,3 +482,38 @@ class TestCheckpoints:
         path.write_bytes(b"NOTACKPT")
         with pytest.raises(DataError, match="magic"):
             load_checkpoint(path)
+
+    def test_well_formed_rewrite_loads(self, tiny_data, tmp_path):
+        """The malformed cases differ from this one only in the edit."""
+        corpus, _ = tiny_data
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(TopicModel(len(corpus.vocabulary), small_config()), path)
+        rewrite_header(path, topicmodel._MAGIC, lambda h: h)
+        assert load_checkpoint(path).vocab_size == len(corpus.vocabulary)
+
+    @pytest.mark.parametrize("edit", sorted(CHECKPOINT_HEADER_EDITS))
+    def test_malformed_header_is_data_error(self, tiny_data, tmp_path, edit):
+        corpus, _ = tiny_data
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(TopicModel(len(corpus.vocabulary), small_config()), path)
+        rewrite_header(path, topicmodel._MAGIC, CHECKPOINT_HEADER_EDITS[edit])
+        with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_file(self, tiny_data, tmp_path):
+        corpus, _ = tiny_data
+        model = TopicModel(len(corpus.vocabulary), small_config())
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        before = path.read_bytes()
+        model.beta.data = np.full(model.beta.shape, "x", dtype=object)
+        with pytest.raises(ValueError):
+            save_checkpoint(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_unwritable_path_is_data_error(self, tiny_data, tmp_path):
+        corpus, _ = tiny_data
+        model = TopicModel(len(corpus.vocabulary), small_config())
+        with pytest.raises(DataError, match="cannot write"):
+            save_checkpoint(model, tmp_path / "missing" / "model.ckpt")
