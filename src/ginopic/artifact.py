@@ -96,8 +96,8 @@ def _parse_header(raw: bytes, fields: dict, what: str, path) -> dict:
 @contextlib.contextmanager
 def read_artifact(path, magic: bytes, fields: dict, what: str):
     """Yield (header, read): the validated header and `read(n)`, which returns
-    exactly n payload bytes.  Leaving the block checks that nothing trails
-    the payload."""
+    exactly n payload bytes (`read()`: all bytes left).  Leaving the block
+    checks that nothing trails the payload."""
     try:
         fh = open(path, "rb")
     except OSError as e:
@@ -105,10 +105,11 @@ def read_artifact(path, magic: bytes, fields: dict, what: str):
     with fh:
         left = os.fstat(fh.fileno()).st_size
 
-        def read(n: int) -> bytes:
+        def read(n: int | None = None) -> bytes:
             # checked against the bytes left in the file first, so a corrupt
             # length cannot make read() allocate more than the file holds
             nonlocal left
+            n = left if n is None else n
             if n > left:
                 raise DataError(f"truncated {what}", path=path)
             left -= n

@@ -467,6 +467,10 @@ def load_corpus(path) -> Corpus:
     if ids.size and (ids.min() < 0 or ids.max() >= v):
         raise DataError(f"corpus cache holds a word id outside its {v}-word vocabulary",
                         path=path)
+    n_labels = len(header["label_names"] or ())
+    if any(d.label is not None and d.label >= n_labels for d in docs):
+        raise DataError(f"corpus cache holds a label outside its {n_labels} label names",
+                        path=path)
     split = CorpusSplit(
         train=parts[0],
         validation=parts[1],

@@ -45,8 +45,16 @@ class Adam:
         self.m = [np.zeros_like(t.data) for _, t in self.params]
         self.v = [np.zeros_like(t.data) for _, t in self.params]
         self.t = 0
+        # two scratch buffers sized by the largest parameter, viewed per parameter
+        nbytes = max((t.data.nbytes for _, t in self.params), default=0)
+        scratch = [np.empty(nbytes, dtype=np.uint8) for _ in range(2)]
+        self._scratch = [tuple(b[:t.data.nbytes].view(t.dtype).reshape(t.shape) for b in scratch)
+                         for _, t in self.params]
 
     def step(self) -> None:
+        """One update, in place, in the operation order of
+        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
+        p -= lr*(m/b1t) / (sqrt(v/b2t) + eps), so the bits match that formula."""
         c = self.config
         self.t += 1
         b1t = 1.0 - c.beta1 ** self.t
@@ -54,14 +62,20 @@ class Adam:
         for i, (name, p) in enumerate(self.params):
             if p.grad is None:
                 raise ContractError(f"Adam.step: parameter '{name}' has no gradient")
-            g = p.grad
-            self.m[i] *= c.beta1
-            self.m[i] += (1.0 - c.beta1) * g
-            self.v[i] *= c.beta2
-            self.v[i] += (1.0 - c.beta2) * g * g
-            m_hat = self.m[i] / b1t
-            v_hat = self.v[i] / b2t
-            p.data -= (c.lr * m_hat / (np.sqrt(v_hat) + c.eps)).astype(p.data.dtype)
+            g, m, v = p.grad, self.m[i], self.v[i]
+            step, denom = self._scratch[i]
+            m *= c.beta1
+            m += np.multiply(g, 1.0 - c.beta1, out=step)
+            v *= c.beta2
+            np.multiply(g, 1.0 - c.beta2, out=step)
+            v += np.multiply(step, g, out=step)
+            np.divide(m, b1t, out=step)
+            step *= c.lr
+            np.divide(v, b2t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += c.eps
+            step /= denom
+            p.data -= step
 
     def zero_grad(self) -> None:
         for _, p in self.params:

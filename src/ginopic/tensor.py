@@ -10,6 +10,15 @@ exactly once.
 float32 is the training default.  Gradient checking and other high-precision
 work should run under ``default_dtype(np.float64)``.
 
+Numerics contract: `backward` checks finiteness once per sweep, on the leaf
+gradients (tensors that track gradients but were not produced on the tape).
+Only if one is NaN/Inf does it replay the recorded backward rules to name
+the op where the non-finite value arose; a non-finite gradient toward a
+constant, or one that reaches no leaf, does not raise.  `softplus`'s
+backward is the one place that flushes subnormals: below x = -87 (float32)
+its g * sigmoid(x) falls under ``finfo.tiny`` and would slow every GEMM it
+feeds several-fold, while the parameter step it could cause rounds away.
+
 Design constraints kept deliberately tight so every backward rule stays
 auditable:
   * ops are 1-D/2-D only,
@@ -198,35 +207,55 @@ def _result(op: str, out_data: np.ndarray, inputs: tuple, backward_fn) -> Tensor
 
 
 def _accumulate(t: Tensor, g) -> None:
-    if g is None or not t.requires_grad:
-        return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # one pass, bitwise equal to zeros_like(t.data) += g (-0.0 becomes +0.0 either way)
+        t.grad = np.add(g, 0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
+
+
+def _nonfinite_op(records) -> str | None:
+    """Replay the backward rules on their stored output grads, last record
+    first, and name the first op that yields a non-finite gradient toward an
+    input that tracks gradients."""
+    for rec in reversed(records):
+        if rec.output.grad is None:
+            continue
+        for inp, g in zip(rec.inputs, rec.backward_fn(rec.output.grad)):
+            if g is not None and inp.requires_grad and not np.isfinite(g).all():
+                return rec.op
+    return None
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
     """Reverse sweep: populate .grad on every requires_grad tensor feeding `loss`.
 
     Raises ContractError if the loss is not a scalar produced on this tape,
-    NumericsError (naming the op) if a backward rule yields NaN/Inf.
+    NumericsError (naming the op) if a leaf gradient ends up NaN/Inf.
+    Finiteness is checked once per sweep, on the leaves; only then are the
+    backward rules replayed to find the op where the non-finite value arose.
     """
     if loss.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
     if not tape.owns(loss):
         raise ContractError("loss was not produced on this tape")
     loss.grad = np.ones_like(loss.data)
+    leaves = {}
     for rec in reversed(tape.records):
         out_grad = rec.output.grad
         if out_grad is None:
             continue
         grads = rec.backward_fn(out_grad)
         for inp, g in zip(rec.inputs, grads):
-            if g is None:
+            if g is None or not inp.requires_grad:
                 continue
-            if not np.all(np.isfinite(g)):
-                raise NumericsError(f"non-finite gradient in backward of '{rec.op}'")
             _accumulate(inp, g)
+            if not tape.owns(inp):
+                leaves[id(inp)] = inp
+    if not all(np.isfinite(t.grad).all() for t in leaves.values()):
+        op = _nonfinite_op(tape.records)
+        raise NumericsError(f"non-finite gradient in backward of '{op}'" if op else
+                            "non-finite gradient on a leaf tensor")
     tape.clear()
 
 
@@ -355,7 +384,12 @@ def softplus(a: Tensor) -> Tensor:
         s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         s[~pos] = ex / (1.0 + ex)
-        return (g * s,)
+        r = g * s
+        # below x = -87 (float32) the product is subnormal, which slows every
+        # GEMM it feeds several-fold: flush it to a zero of the same sign (a
+        # parameter step it could cause rounds away); NaN/Inf pass through
+        r *= np.abs(r) >= np.finfo(r.dtype).tiny
+        return (r,)
 
     return _result("softplus", out, (a,), bw)
 

@@ -282,19 +282,23 @@ class TopicModel:
         """theta (B, K) -> x_hat (B, V), rows on the simplex."""
         return T.softmax(self.bn_out(T.matmul(theta, self.beta), training))
 
-    def forward_batch(self, documents, graphs, training: bool,
-                      noise_rng=None, dropout_rng=None) -> ForwardResult:
+    def encode_batch(self, documents, graphs, training: bool, dropout_rng=None):
+        """tf-idf -> GIN -> encoder over a minibatch: (x_tfidf, mu, logvar)."""
         if len(documents) != len(graphs):
             raise ContractError(
                 f"{len(documents)} documents but {len(graphs)} graphs in batch"
             )
         dt = self.graph_proj.dtype
-        x_np = tfidf_dense(documents, self.vocab_size, dtype=dt)
-        x_tfidf = T.Tensor(x_np, dtype=dt)
-
+        x_tfidf = T.Tensor(tfidf_dense(documents, self.vocab_size, dtype=dt), dtype=dt)
         _, h_g, _ = self.gin.forward(graphs, training)
         x = combine_inputs(h_g, x_tfidf, self.graph_proj)
         mu, logvar = self.encode(x, training, dropout_rng)
+        return x_tfidf, mu, logvar
+
+    def forward_batch(self, documents, graphs, training: bool,
+                      noise_rng=None, dropout_rng=None) -> ForwardResult:
+        x_tfidf, mu, logvar = self.encode_batch(documents, graphs, training, dropout_rng)
+        dt = mu.dtype
         sigma = T.exp(logvar)
         if training:
             if noise_rng is None:
@@ -391,15 +395,20 @@ def save_history(history, path) -> None:
 
 
 def infer_theta(model: TopicModel, documents, graphs, batch_size: int = 256) -> np.ndarray:
-    """Posterior-mean topic proportions, rows summing to 1; no sampling."""
+    """Posterior-mean topic proportions, rows summing to 1; no sampling.
+
+    Runs the encoder only, with the ops of `forward_batch(training=False)`,
+    so each row equals its `theta` bit for bit.
+    """
     if len(documents) != len(graphs):
         raise ContractError(f"{len(documents)} documents but {len(graphs)} graphs")
     rows = []
     for start in range(0, len(documents), batch_size):
         docs = documents[start:start + batch_size]
         gs = graphs[start:start + batch_size]
-        out = model.forward_batch(docs, gs, training=False)
-        rows.append(out.theta.data.copy())
+        _, mu, logvar = model.encode_batch(docs, gs, training=False)
+        z = reparameterize(mu, T.exp(logvar), np.zeros(mu.shape, dtype=mu.dtype))
+        rows.append(T.softmax(z).data)
     return np.concatenate(rows, axis=0)
 
 
@@ -466,18 +475,48 @@ def save_checkpoint(model: TopicModel, path) -> None:
             fh.write(b.astype("<f4").tobytes())
 
 
+def _linear_chain(d_in: int, width: int, depth: int, d_out: int) -> int:
+    """Weights and biases of the Linear layers d_in -> width (x depth) -> d_out."""
+    if depth == 0:
+        return d_in * d_out + d_out
+    return (d_in + 1) * width + (depth - 1) * (width + 1) * width + (width + 1) * d_out
+
+
+def _checkpoint_floats(vocab_size: int, config: TrainConfig) -> int:
+    """Floats in the payload of a checkpoint with this config: every parameter
+    and batchnorm buffer of `TopicModel`, counted without building it (each
+    batchnorm holds four vectors: gamma, beta, running mean and variance)."""
+    g, v, h, k = config.gin, vocab_size, config.encoder_hidden, config.topics
+    gin = (_linear_chain(g.tau, g.hidden, g.mlp_hidden_layers, g.hidden) + 4 * g.hidden
+           + (g.layers - 2) * (_linear_chain(g.hidden, g.hidden, g.mlp_hidden_layers, g.hidden)
+                               + 4 * g.hidden)
+           + _linear_chain(g.hidden, g.hidden, g.mlp_hidden_layers, g.tau_out) + 4 * g.tau_out)
+    return (v * g.tau + gin + v * g.tau_out
+            + _linear_chain(2 * v, h, config.encoder_layers - 1, h)
+            + 2 * (_linear_chain(h, h, 0, k) + 4 * k)
+            + k * v + 4 * v)
+
+
 def load_checkpoint(path, vocabulary=None) -> TopicModel:
     """Rebuild the model and restore parameters and batchnorm buffers exactly.
 
     When `vocabulary` is given its hash must match the checkpoint's; a model
-    cannot be applied to a corpus with a different vocabulary.
+    cannot be applied to a corpus with a different vocabulary.  The payload
+    size the config implies is checked against the file before the model is
+    built, so no header can make the loader allocate more than the file holds.
     """
     with read_artifact(path, _MAGIC, _HEADER_FIELDS, "checkpoint") as (header, read):
         if vocabulary is not None and vocabulary.sha256 != header["vocab_sha256"]:
             raise DataError("checkpoint was trained with a different vocabulary", path=path)
         try:
-            model = TopicModel(header["vocab_size"], TrainConfig.from_dict(header["config"]),
-                               vocab_sha256=header["vocab_sha256"])
+            config = TrainConfig.from_dict(header["config"])
+            config.validate()
+            # more floats than the file holds fail inside read(), fewer leave
+            # trailing bytes: both before the model allocates anything
+            blob = read(4 * _checkpoint_floats(header["vocab_size"], config))
+            if read():
+                raise DataError("trailing bytes after checkpoint payload", path=path)
+            model = TopicModel(header["vocab_size"], config, vocab_sha256=header["vocab_sha256"])
         except ConfigError as e:
             raise DataError(f"checkpoint holds an invalid config: {e}", path=path) from e
         model.trained_epochs = header["trained_epochs"]
@@ -486,13 +525,10 @@ def load_checkpoint(path, vocabulary=None) -> TopicModel:
         for key, entries in (("params", params), ("buffers", buffers)):
             if [[name, list(x.shape)] for name, x in entries] != header[key]:
                 raise DataError(f"checkpoint {key} inventory does not match config", path=path)
-
-        def payload(shape) -> np.ndarray:
-            raw = read(4 * int(np.prod(shape)))
-            return np.frombuffer(raw, dtype="<f4").reshape(shape)
-
+        sizes = [x.size for _, x in params + buffers]
+        chunks = iter(np.split(np.frombuffer(blob, dtype="<f4"), np.cumsum(sizes)[:-1]))
         for _, t in params:
-            t.data = payload(t.shape).astype(t.dtype)
+            t.data = next(chunks).reshape(t.shape).astype(t.dtype)
         for _, b in buffers:
-            b[...] = payload(b.shape)
+            b[...] = next(chunks).reshape(b.shape)
     return model

@@ -370,6 +370,24 @@ class TestCorpusCache:
         with pytest.raises(DataError, match="outside"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("label", [3, 2 ** 31 + 5, 0xFFFFFFFE],
+                             ids=["one_past_label_names", "past_int32", "largest_u32_label"])
+    def test_label_outside_label_names_is_data_error(self, tmp_path, label):
+        corpus = self._corpus()
+        assert len(corpus.split.label_names) == 3
+        corpus.split.train[0].label = label
+        path = tmp_path / "corpus.bin"
+        save_corpus(corpus, path)
+        with pytest.raises(DataError, match="label"):
+            load_corpus(path)
+
+    def test_label_without_label_names_is_data_error(self, tmp_path):
+        path = tmp_path / "corpus.bin"
+        save_corpus(self._corpus(), path)
+        rewrite_header(path, corpus_module._MAGIC, _set(label_names=None, k_gold=None))
+        with pytest.raises(DataError, match="label"):
+            load_corpus(path)
+
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "corpus.bin"
         corpus = self._corpus()

@@ -148,6 +148,47 @@ class TestForwardValues:
         assert rm[0] == 1.0 and rv[0] == 4.0
 
 
+def loop_softplus_grad(x, g):
+    """The softplus backward before subnormal flushing, kept as its reference."""
+    pos = x >= 0
+    s = np.empty_like(x)
+    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    s[~pos] = ex / (1.0 + ex)
+    return g * s
+
+
+def softplus_grad(x, g):
+    """`softplus`'s recorded backward rule applied to the output grad `g`."""
+    with T.Tape() as tape:
+        T.softplus(T.Tensor(x, requires_grad=True))
+        return tape.records[-1].backward_fn(g)[0]
+
+
+class TestSoftplusSubnormalFlush:
+    @pytest.mark.parametrize("dtype,lo,hi", [(np.float32, -104.0, -80.0),
+                                             (np.float64, -745.0, -700.0)])
+    def test_flushes_exactly_the_subnormals(self, dtype, lo, hi):
+        gen = np.random.default_rng(7)
+        x = np.linspace(lo, hi, 4001).astype(dtype).reshape(4001, 1)
+        g = (gen.normal(size=x.shape) * 10.0 ** gen.uniform(-3, 3, size=x.shape)).astype(dtype)
+        old, new = loop_softplus_grad(x, g), softplus_grad(x, g)
+        subnormal = (old != 0) & (np.abs(old) < np.finfo(dtype).tiny)
+        assert subnormal.sum() > 100 and (~subnormal).sum() > 100
+        assert np.all(new[subnormal] == 0)
+        assert new[~subnormal].tobytes() == old[~subnormal].tobytes()
+
+    def test_matches_old_formula_outside_the_subnormal_range(self):
+        x = np.linspace(-60.0, 60.0, 1201).astype(np.float32)
+        g = np.cos(np.arange(x.size, dtype=np.float32))
+        assert softplus_grad(x, g).tobytes() == loop_softplus_grad(x, g).tobytes()
+
+    def test_nan_and_inf_pass_through(self):
+        x = np.array([-90.0, 0.0, 1.0], dtype=np.float32)
+        got = softplus_grad(x, np.array([np.nan, np.inf, -np.inf], dtype=np.float32))
+        assert np.isnan(got[0]) and got[1] == np.inf and got[2] == -np.inf
+
+
 class TestDtypeRules:
     def test_default_dtype_is_float32(self):
         assert T.Tensor([1.0]).dtype == np.float32
@@ -219,6 +260,42 @@ class TestTapeSemantics:
             loss = T.sum(T.log(x))  # d/dx log(0) = inf
             with pytest.raises(NumericsError, match="log"):
                 T.backward(tape, loss)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_born_in_an_intermediate_op_names_that_op(self):
+        # log(relu(-1)) = log(0): log's backward yields inf, relu's turns it
+        # into the NaN that reaches the leaf; the op named is where it arose
+        x = t64([-1.0], requires_grad=True)
+        with T.Tape() as tape:
+            loss = T.sum(T.log(T.relu(x)))
+            with pytest.raises(NumericsError, match="'log'"):
+                T.backward(tape, loss)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_gradient_toward_a_constant_does_not_raise(self):
+        # d/dc of x * c is x = inf, but c is a constant; d/dx = c is finite
+        x = t64([np.inf], requires_grad=True)
+        c = t64([2.0])
+        with T.Tape() as tape:
+            T.backward(tape, T.sum(T.mul(x, c)))
+        assert x.grad.tolist() == [2.0] and c.grad is None
+
+    def test_nonfinite_leaf_gradient_from_before_the_sweep_raises(self):
+        x = t64([1.0], requires_grad=True)
+        x.grad = np.array([np.nan])
+        with T.Tape() as tape:
+            with pytest.raises(NumericsError, match="leaf"):
+                T.backward(tape, T.sum(x))
+
+    def test_first_accumulation_keeps_bits(self):
+        # the one-pass first write equals zeros_like(data) += g, -0.0 included
+        g = np.array([-0.0, 0.0, 1e-45, -3.5, 7.25], dtype=np.float32)
+        x = T.Tensor(np.ones(5, dtype=np.float32), requires_grad=True)
+        with T.Tape() as tape:
+            T.backward(tape, T.sum(T.mul(x, T.Tensor(g))))
+        want = np.zeros_like(x.data)
+        want += g
+        assert x.grad.tobytes() == want.tobytes()
 
     def test_chained_matmul_gradient_hand_value(self):
         # loss = sum(a @ b): dl/da = ones @ b.T
@@ -430,6 +507,79 @@ class TestAdam:
             vhat = v / (1 - 0.999 ** step_i)
             ref -= 0.05 * mhat / (math.sqrt(vhat) + 1e-8)
             assert p.data[0] == pytest.approx(ref, rel=1e-12)
+
+
+def loop_adam_step(opt):
+    """The allocating `Adam.step` the in-place one replaced, kept as its
+    reference: applies one update to `opt`'s parameters and moments."""
+    c = opt.config
+    opt.t += 1
+    b1t = 1.0 - c.beta1 ** opt.t
+    b2t = 1.0 - c.beta2 ** opt.t
+    for i, (_, p) in enumerate(opt.params):
+        g = p.grad
+        opt.m[i] *= c.beta1
+        opt.m[i] += (1.0 - c.beta1) * g
+        opt.v[i] *= c.beta2
+        opt.v[i] += (1.0 - c.beta2) * g * g
+        m_hat = opt.m[i] / b1t
+        v_hat = opt.v[i] / b2t
+        p.data -= (c.lr * m_hat / (np.sqrt(v_hat) + c.eps)).astype(p.data.dtype)
+
+
+def _adam_grads(kind, shape, dtype, step, gen):
+    if kind == "zero":
+        return np.zeros(shape, dtype=dtype)
+    tiny = np.finfo(dtype).tiny
+    if kind == "tiny":
+        return (gen.choice([-1.0, 1.0], size=shape) * tiny * gen.uniform(0.01, 4.0, size=shape)
+                ).astype(dtype)
+    # mixed: normal scale, tiny, subnormal, zero and -0.0 entries, large entries
+    g = gen.normal(size=shape) * 10.0 ** gen.integers(-12, 4, size=shape)
+    pick = gen.integers(0, 6, size=shape)
+    g[pick == 0] = 0.0
+    g[pick == 1] = -0.0
+    g[pick == 2] = tiny * 1e-3 * (step + 1)
+    return g.astype(dtype)
+
+
+class TestAdamMatchesLoopBitwise:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["zero", "tiny", "mixed"])
+    def test_twenty_steps(self, dtype, kind):
+        shapes = [(7, 5), (3,), (40, 6), (1, 1)]
+        gen = np.random.default_rng(len(kind))
+        init = [gen.normal(scale=0.05, size=s).astype(dtype) for s in shapes]
+        config = AdamConfig(lr=0.02)
+        mine = [T.Tensor(a.copy(), requires_grad=True) for a in init]
+        ref = [T.Tensor(a.copy(), requires_grad=True) for a in init]
+        opt, ref_opt = Adam(mine, config), Adam(ref, config)
+        for step in range(20):
+            for p, q in zip(mine, ref):
+                p.grad = _adam_grads(kind, p.shape, dtype, step, gen)
+                q.grad = p.grad.copy()
+            opt.step()
+            loop_adam_step(ref_opt)
+            for i, (p, q) in enumerate(zip(mine, ref)):
+                assert p.data.dtype == dtype
+                assert p.data.tobytes() == q.data.tobytes(), (step, i)
+                assert opt.m[i].tobytes() == ref_opt.m[i].tobytes()
+                assert opt.v[i].tobytes() == ref_opt.v[i].tobytes()
+
+    def test_mixed_dtypes_share_the_scratch(self):
+        a = T.Tensor(np.ones((4, 3), dtype=np.float32), requires_grad=True)
+        b = T.Tensor(np.ones(20, dtype=np.float64), requires_grad=True)
+        ra = T.Tensor(a.data.copy(), requires_grad=True)
+        rb = T.Tensor(b.data.copy(), requires_grad=True)
+        opt, ref_opt = Adam([a, b]), Adam([ra, rb])
+        for step in range(3):
+            for p, q in ((a, ra), (b, rb)):
+                p.grad = np.full(p.shape, 0.3 - step, dtype=p.dtype)
+                q.grad = p.grad.copy()
+            opt.step()
+            loop_adam_step(ref_opt)
+        assert a.data.tobytes() == ra.data.tobytes()
+        assert b.data.tobytes() == rb.data.tobytes()
 
 
 @given(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=12))

@@ -1,5 +1,8 @@
 """Dirichlet prior moments, ELBO pieces, training determinism, checkpoints."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from ginopic.corpus import Vocabulary
 from ginopic.docgraph import build_all_graphs
 from ginopic.errors import ConfigError, ContractError, DataError, NumericsError
 from ginopic.gin import GinConfig
+from ginopic.optim import Adam
 from ginopic.rng import stream
 from ginopic.synthetic import block_embeddings, block_topic_corpus
 from ginopic.topicmodel import (
@@ -333,6 +337,25 @@ class TestTrain:
         with pytest.raises(NumericsError):
             train(corpus, graphs, small_config(lr=1e14, epochs=3))
 
+    def test_no_subnormal_leaf_gradient(self, tiny_data, monkeypatch):
+        # at lr 0.2 encoder units fall below -87, where softplus's unflushed
+        # backward fed subnormal values into encoder.0's gradients
+        seen = {}
+        step = Adam.step
+
+        def checked_step(opt):
+            for name, p in opt.params:
+                g = p.grad
+                seen[name] = seen.get(name, 0) + int(
+                    np.count_nonzero((g != 0) & (np.abs(g) < np.finfo(g.dtype).tiny)))
+            step(opt)
+
+        monkeypatch.setattr(Adam, "step", checked_step)
+        corpus, graphs = tiny_data
+        train(corpus, graphs, small_config(lr=0.2, epochs=5))
+        assert len(seen) == len(TopicModel(len(corpus.vocabulary), small_config()).parameters())
+        assert not any(seen.values()), {k: v for k, v in seen.items() if v}
+
     def test_save_history_format(self, tiny_data, tmp_path):
         corpus, graphs = tiny_data
         result = train(corpus, graphs, small_config())
@@ -362,6 +385,17 @@ class TestInferTheta:
         full = infer_theta(model, docs, gs, batch_size=256)
         chunked = infer_theta(model, docs, gs, batch_size=3)
         assert np.allclose(full, chunked, atol=1e-6)
+
+    @pytest.mark.parametrize("batch_size", [256, 4])
+    def test_bytes_equal_eval_forward_theta(self, tiny_data, batch_size):
+        corpus, graphs = tiny_data
+        model = train(corpus, graphs, small_config(epochs=3)).model
+        docs, gs = corpus.split.train, graphs.train_graphs()
+        want = np.concatenate([
+            model.forward_batch(docs[i:i + batch_size], gs[i:i + batch_size],
+                                training=False).theta.data
+            for i in range(0, len(docs), batch_size)])
+        assert infer_theta(model, docs, gs, batch_size).tobytes() == want.tobytes()
 
     def test_length_mismatch(self, tiny_data):
         corpus, graphs = tiny_data
@@ -517,3 +551,75 @@ class TestCheckpoints:
         model = TopicModel(len(corpus.vocabulary), small_config())
         with pytest.raises(DataError, match="cannot write"):
             save_checkpoint(model, tmp_path / "missing" / "model.ckpt")
+
+
+# Loads each checkpoint given on the command line under an address-space
+# limit that only this child process has, and prints how each load ended.
+_LIMITED_LOADER = """
+import resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from ginopic.errors import DataError
+from ginopic.topicmodel import load_checkpoint
+for path in sys.argv[2:]:
+    try:
+        load_checkpoint(path)
+        print("loaded")
+    except DataError:
+        print("DataError")
+    except MemoryError:
+        print("MemoryError")
+"""
+
+HUGE = 10 ** 9
+
+
+def _gin(**edit):
+    return lambda h: {**h, "config": {**h["config"], "gin": {**h["config"]["gin"], **edit}}}
+
+
+HUGE_HEADER_EDITS = {
+    "gin_tau": _gin(tau=HUGE),
+    "gin_hidden": _gin(hidden=HUGE),
+    "gin_tau_out": _gin(tau_out=HUGE),
+    "gin_layers": _gin(layers=HUGE),
+    "gin_mlp_hidden_layers": _gin(mlp_hidden_layers=HUGE),
+    "topics": _config(topics=HUGE),
+    "encoder_hidden": _config(encoder_hidden=HUGE),
+    "encoder_layers": _config(encoder_layers=HUGE),
+    "vocab_size": lambda h: {**h, "vocab_size": HUGE},
+    "small_tau": _gin(tau=4),
+}
+
+
+class TestCheckpointAllocationBound:
+    @pytest.mark.parametrize("config", [
+        small_config(),
+        small_config(gin=GinConfig(tau=3, hidden=5, tau_out=7, layers=4, mlp_hidden_layers=2),
+                     encoder_layers=3, encoder_hidden=11, topics=4),
+        small_config(gin=GinConfig(tau=6, hidden=2, tau_out=9, layers=2, mlp_hidden_layers=0)),
+    ])
+    def test_float_count_matches_the_model(self, config):
+        model = TopicModel(13, config)
+        total = sum(t.size for _, t in model.parameters()) + sum(
+            b.size for _, b in model.buffers())
+        assert topicmodel._checkpoint_floats(13, config) == total
+
+    def test_huge_config_is_data_error_before_allocating(self, tiny_data, tmp_path):
+        """A header whose config implies more (or fewer) floats than the file
+        holds fails before the model is built, here under a 1 GiB
+        address-space limit (a gin.tau of 10**9 would ask for 74 GiB)."""
+        corpus, _ = tiny_data
+        paths = []
+        for name, edit in sorted(HUGE_HEADER_EDITS.items()):
+            path = tmp_path / f"{name}.ckpt"
+            save_checkpoint(TopicModel(len(corpus.vocabulary), small_config()), path)
+            rewrite_header(path, topicmodel._MAGIC, edit)
+            paths.append(str(path))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(topicmodel.__file__)))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", _LIMITED_LOADER, str(2 ** 30), *paths],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outcomes = dict(zip(sorted(HUGE_HEADER_EDITS), done.stdout.split()))
+        assert outcomes == dict.fromkeys(sorted(HUGE_HEADER_EDITS), "DataError")
