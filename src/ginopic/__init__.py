@@ -40,7 +40,7 @@ from .errors import (
     NumericsError,
     ShapeError,
 )
-from .gin import GinConfig, GinStack, gin_layer_forward, gin_stack_forward
+from .gin import GinConfig, GinStack, gin_stack_forward
 from .metrics import (
     build_cooccurrence,
     cv,
@@ -51,7 +51,7 @@ from .metrics import (
     wi_c,
     wi_m,
 )
-from .presets import PRESETS, Preset, get_preset, train_config_from_preset
+from .presets import PRESETS, Preset, get_preset
 from .topicmodel import (
     PriorParams,
     TopicModel,

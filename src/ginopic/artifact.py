@@ -5,10 +5,10 @@
 turns every OSError into a `DataError`; every text output goes through it,
 tables through `write_tsv`.
 
-`write_artifact`/`read_artifact` are the binary container shared by the
-corpus cache, graph cache, embedding cache, checkpoint and classifier
-files: magic line, u64 little-endian header length, JSON header (sorted
-keys, compact), then the format's payload.  `read_artifact` turns every
+`write_artifact`/`read_artifact` are the binary container shared by all
+four binary formats (corpus cache, graph cache, embedding cache and
+checkpoint): magic line, u64 little-endian header length, JSON header
+(sorted keys, compact), then the format's payload.  `read_artifact` turns every
 unreadable, truncated or malformed file into a `DataError`: each header
 field is checked by the caller's validator before any code reads it, and
 every read length is checked against the bytes left in the file.

@@ -33,7 +33,7 @@ from .corpus import (
     save_vocabulary,
 )
 from .docgraph import build_all_graphs, graph_density_report, load_graph_store, validate_delta
-from .downstream import SvmConfig, evaluate_accuracy, export_theta, save_classifier, train_classifier
+from .downstream import SvmConfig, evaluate_accuracy, export_theta, train_classifier
 from .embedding import load_embeddings
 from .errors import ConfigError, ContractError, DataError, GinopicError, NumericsError, ShapeError
 from .gin import GinConfig
@@ -223,7 +223,6 @@ _CLASSIFY_OPTS = [
     Opt("--svm-lr", float, 0.01),
     Opt("--svm-l2", float, 1e-4),
     Opt("--seed", int, 0),
-    Opt("--save-classifier", str, help="write the last run's classifier here"),
     Opt("--out", str, help="accuracy table file (TSV)"),
 ]
 
@@ -430,7 +429,7 @@ def _cmd_train(o) -> int:
                     for k in _topic_counts(o, corpus)]
         else:
             topics_k = _resolve_topics(o, corpus)
-            n_seeds = o.seeds or 1
+            n_seeds = 1 if o.seeds is None else o.seeds
             if n_seeds < 1:
                 raise ConfigError(f"--seeds must be >= 1, got {n_seeds}")
             if n_seeds == 1:
@@ -514,17 +513,13 @@ def _cmd_classify(o) -> int:
     _emit(*rows[0])
     accuracies = []
     for r in range(o.runs):
-        svm_config = SvmConfig(epochs=o.svm_epochs, lr=o.svm_lr, l2=o.svm_l2,
-                               seed=o.seed + r)
-        classifier = train_classifier(theta_train, y_train, svm_config)
+        classifier = train_classifier(theta_train, y_train, SvmConfig(
+            epochs=o.svm_epochs, lr=o.svm_lr, l2=o.svm_l2, seed=o.seed + r))
         accuracies.append(evaluate_accuracy(classifier, theta_test, y_test))
         rows.append((r, o.seed + r, f"{accuracies[-1]:.6f}"))
         _emit(*rows[-1])
     rows.append(("mean", "", f"{float(np.mean(accuracies)):.6f}"))
     _emit(*rows[-1])
-    if o.save_classifier:
-        save_classifier(classifier, svm_config, o.save_classifier)
-        log.info("classifier written to %s", o.save_classifier)
     if o.out:
         write_tsv(o.out, rows, "accuracy table")
     return 0

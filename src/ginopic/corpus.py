@@ -222,25 +222,9 @@ def idf_vector(documents, vocab_size: int):
     return idf, n
 
 
-def compute_tfidf(documents, vocabulary: Vocabulary, idf=None) -> np.ndarray:
-    """Fill each document's tf-idf entries in place; returns the idf vector used.
-
-    With idf=None the document frequencies must describe this same document
-    set (the vocabulary's own df); a present word with df 0 then means the
-    vocabulary was built elsewhere and is rejected.  Pass an explicit idf
-    vector (e.g. fit on the training split) to weight any other document set.
-    """
-    if idf is None:
-        df = vocabulary.doc_frequency
-        n = len(documents)
-        for doc in documents:
-            present = np.unique(doc.token_ids)
-            if present.size and df[present].min() == 0:
-                raise ContractError(
-                    "df=0 for a word present in the corpus: vocabulary and "
-                    "document set are inconsistent"
-                )
-        idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
+def compute_tfidf(documents, vocabulary: Vocabulary, idf) -> np.ndarray:
+    """Fill each document's tf-idf entries in place with the given idf vector
+    (from `idf_vector`, e.g. fit on the training split); returns it."""
     idf = np.asarray(idf, dtype=np.float64)
     if idf.shape != (len(vocabulary),):
         raise ContractError(
@@ -293,30 +277,14 @@ def build_corpus(
     vocabulary, documents, kept = preprocess(raw_documents, options)
 
     label_names = None
-    k_gold = None
     if labels is not None:
         kept_labels = [str(labels[i]) for i in kept]
         label_names = sorted(set(kept_labels))
         name_to_id = {name: i for i, name in enumerate(label_names)}
         for doc, lab in zip(documents, kept_labels):
             doc.label = name_to_id[lab]
-        k_gold = len(label_names)
 
-    split = split_corpus(documents, ratios=ratios, seed=seed)
-    split.label_names = label_names
-    split.k_gold = k_gold
-
-    idf, _ = idf_vector(split.train, len(vocabulary))
-    for part in (split.train, split.validation, split.test):
-        compute_tfidf(part, vocabulary, idf=idf)
-
-    return Corpus(
-        vocabulary=vocabulary,
-        split=split,
-        options=options.to_dict(),
-        seed=int(seed),
-        ratios=tuple(ratios),
-    )
+    return assemble_corpus(vocabulary, documents, ratios, seed, label_names, options.to_dict())
 
 
 def assemble_corpus(
@@ -327,10 +295,11 @@ def assemble_corpus(
     label_names=None,
     options: dict | None = None,
 ) -> Corpus:
-    """Build a Corpus from already-tokenized documents (synthetic pipelines).
+    """Split already-tokenized documents, weight them with idf fit on the
+    training split, and wrap them in a Corpus.  `build_corpus` ends here;
+    synthetic pipelines call it directly.
 
     Documents must carry integer labels already if label_names is given.
-    Splitting and train-fit idf weighting match `build_corpus`.
     """
     if not documents:
         raise DataError("empty corpus: no documents to assemble")
@@ -467,7 +436,10 @@ def load_corpus(path) -> Corpus:
     if ids.size and (ids.min() < 0 or ids.max() >= v):
         raise DataError(f"corpus cache holds a word id outside its {v}-word vocabulary",
                         path=path)
-    n_labels = len(header["label_names"] or ())
+    names = header["label_names"]
+    if header["k_gold"] != (None if names is None else len(names)):
+        raise DataError("corpus cache k_gold does not count its label names", path=path)
+    n_labels = len(names or ())
     if any(d.label is not None and d.label >= n_labels for d in docs):
         raise DataError(f"corpus cache holds a label outside its {n_labels} label names",
                         path=path)
@@ -475,7 +447,7 @@ def load_corpus(path) -> Corpus:
         train=parts[0],
         validation=parts[1],
         test=parts[2],
-        label_names=header["label_names"],
+        label_names=names,
         k_gold=header["k_gold"],
     )
     return Corpus(

@@ -24,7 +24,8 @@ faster than the per-sample loop at a 13% share and about 1.3x at 23%; when
 nearly every step violates it runs at about the loop's speed.
 
 Prediction is the argmax class score; with a single class present the
-classifier degenerates to always predicting it.
+classifier degenerates to always predicting it.  A classifier lives only in
+memory: each evaluation run trains a fresh one, and nothing is saved.
 """
 from __future__ import annotations
 
@@ -32,13 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifact import (
-    has_fields, is_count, is_int, is_number, read_artifact, write_artifact, write_tsv,
-)
-from .errors import ConfigError, ContractError, DataError
+from .artifact import write_tsv
+from .errors import ConfigError, ContractError
 from .rng import stream
 
-_MAGIC = b"GINOCLF1\n"
 # Steps scanned per window of _sgd_epoch: the margins of up to this many
 # pure-decay steps are computed at once.
 _WINDOW = 32
@@ -58,9 +56,6 @@ class SvmConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.l2 < 0:
             raise ConfigError(f"l2 must be non-negative, got {self.l2}")
-
-    def to_dict(self) -> dict:
-        return {"epochs": self.epochs, "lr": self.lr, "l2": self.l2, "seed": self.seed}
 
 
 @dataclass
@@ -176,45 +171,3 @@ def export_theta(model, corpus, graphs, path) -> None:
     theta = infer_theta(model, docs, all_graphs)
     write_tsv(path, ((i, -1 if doc.label is None else int(doc.label), *(f"{v:.9g}" for v in row))
                      for i, (doc, row) in enumerate(zip(docs, theta))), "theta export")
-
-
-def _is_class_list(v) -> bool:
-    return (type(v) is list and len(v) > 0 and all(type(c) is int for c in v)
-            and v == sorted(set(v)))
-
-
-_HEADER_FIELDS = {
-    "classes": _is_class_list,
-    "n_features": lambda v: is_count(v) and v > 0,
-    "config": lambda v: has_fields(v, {"epochs": is_int, "lr": is_number, "l2": is_number,
-                                       "seed": is_int}),
-}
-
-
-def save_classifier(classifier: LinearClassifier, config: SvmConfig, path) -> None:
-    """Write the classifier atomically (see `artifact.write_artifact`)."""
-    header = {
-        "version": 1,
-        "classes": [int(c) for c in classifier.classes],
-        "n_features": int(classifier.weights.shape[1]),
-        "config": config.to_dict(),
-    }
-    with write_artifact(path, _MAGIC, header, "classifier file") as fh:
-        fh.write(classifier.weights.astype("<f8").tobytes())
-        fh.write(classifier.biases.astype("<f8").tobytes())
-
-
-def load_classifier(path) -> tuple:
-    """Returns (classifier, config) as saved."""
-    with read_artifact(path, _MAGIC, _HEADER_FIELDS, "classifier file") as (header, read):
-        classes = np.asarray(header["classes"], dtype=np.int64)
-        k = header["n_features"]
-        weights = np.frombuffer(read(8 * classes.size * k), dtype="<f8")
-        weights = weights.reshape(classes.size, k).astype(np.float64)
-        biases = np.frombuffer(read(8 * classes.size), dtype="<f8").astype(np.float64)
-    config = SvmConfig(**header["config"])
-    try:
-        config.validate()
-    except ConfigError as e:
-        raise DataError(f"classifier file holds an invalid config: {e}", path=path) from e
-    return LinearClassifier(classes=classes, weights=weights, biases=biases), config

@@ -20,7 +20,7 @@ word always starts from the same feature row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -91,16 +91,6 @@ def batch_adjacency(graphs, epsilon: float, dtype=None):
     segments = np.repeat(np.arange(len(graphs)), n_nodes)
     matrix = T.SparseMatrix.from_coo(rows, cols, vals, shape=(total, total), dtype=dtype)
     return matrix, ids, segments
-
-
-def gin_layer_forward(node_states: T.Tensor, graph: DocumentGraph, epsilon: float, mlp) -> T.Tensor:
-    """Single-graph GIN layer: aggregate then apply `mlp` (any callable)."""
-    if node_states.shape[0] != graph.n_nodes:
-        raise ContractError(
-            f"node_states rows {node_states.shape[0]} != graph nodes {graph.n_nodes}"
-        )
-    matrix, _, _ = batch_adjacency([graph], epsilon, dtype=node_states.dtype)
-    return mlp(T.spmm(matrix, node_states))
 
 
 class GinStack:

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .gin import GinConfig
-from .topicmodel import TrainConfig
 
 
 @dataclass(frozen=True)
@@ -24,15 +22,6 @@ class Preset:
     mlp_hidden_dim: int
     tau_out: int             # output node-feature dim
     k_gold: int              # number of ground-truth labels
-
-    def gin_config(self) -> GinConfig:
-        return GinConfig(
-            tau=self.tau,
-            hidden=self.mlp_hidden_dim,
-            tau_out=self.tau_out,
-            layers=self.gin_layers,
-            mlp_hidden_layers=self.mlp_hidden_layers,
-        )
 
 
 PRESETS = {
@@ -58,14 +47,3 @@ def get_preset(name: str) -> Preset | None:
         raise ConfigError(f"unknown preset '{name}' (choose from {known})")
     return PRESETS[name]
 
-
-def train_config_from_preset(preset: Preset, topics: int, seed: int = 0,
-                             epochs: int = 50, batch_size: int = 64) -> TrainConfig:
-    return TrainConfig(
-        topics=topics,
-        gin=preset.gin_config(),
-        seed=seed,
-        epochs=epochs,
-        batch_size=batch_size,
-        delta=preset.delta,
-    )

@@ -107,9 +107,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False, dtype=self.dtype)
-
     # Operator sugar.  Constants should be wrapped explicitly; only Tensor
     # operands are accepted so nothing silently changes dtype.
     def __add__(self, other):

@@ -456,7 +456,8 @@ _HEADER_FIELDS = {
 
 def save_checkpoint(model: TopicModel, path) -> None:
     """GINOCKPT1: header (config, shapes, vocab hash) + f32 LE payloads,
-    written atomically (see `artifact.write_artifact`)."""
+    written atomically (see `artifact.write_artifact`).  Only float32 models
+    round-trip, so any other dtype is rejected rather than rounded."""
     params = model.parameters()
     buffers = model.buffers()
     header = {
@@ -469,10 +470,10 @@ def save_checkpoint(model: TopicModel, path) -> None:
         "buffers": [[name, list(b.shape)] for name, b in buffers],
     }
     with write_artifact(path, _MAGIC, header, "checkpoint") as fh:
-        for _, t in params:
-            fh.write(t.data.astype("<f4").tobytes())
-        for _, b in buffers:
-            fh.write(b.astype("<f4").tobytes())
+        for name, data in [(name, t.data) for name, t in params] + buffers:
+            if data.dtype != np.float32:
+                raise ContractError(f"checkpoint stores float32, but {name} is {data.dtype}")
+            fh.write(data.astype("<f4").tobytes())
 
 
 def _linear_chain(d_in: int, width: int, depth: int, d_out: int) -> int:

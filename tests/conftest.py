@@ -1,11 +1,15 @@
 """Shared fixtures and helpers for the test suite."""
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import ginopic
 from ginopic.corpus import Document, Vocabulary
 from ginopic.embedding import EmbeddingMatrix
 
@@ -48,6 +52,39 @@ def rewrite_header(path, magic, edit):
     if isinstance(head, dict):
         head = json.dumps(head).encode()
     path.write_bytes(magic + struct.pack("<Q", len(head)) + head + blob[start + 8 + n:])
+
+
+# Loads each file given on the command line with the `load(path)` that the
+# source in argv[2] defines, under an address-space limit that only this
+# child process has, and prints how each load ended.
+_LIMITED_LOADER = """
+import resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from ginopic.errors import DataError
+exec(sys.argv[2])
+for path in sys.argv[3:]:
+    try:
+        load(path)
+        print("loaded")
+    except DataError:
+        print("DataError")
+    except MemoryError:
+        print("MemoryError")
+"""
+
+
+def load_under_limit(loader, paths, limit=2 ** 30):
+    """How loading each of `paths` ends ("loaded", "DataError" or
+    "MemoryError"), all in one child process whose address space is capped
+    at `limit` bytes; `loader` is Python source that defines `load(path)`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ginopic.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _LIMITED_LOADER, str(limit), loader,
+                           *map(str, paths)], capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
 
 
 def make_document(token_ids, label=None):

@@ -9,15 +9,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ginopic
+from ginopic import corpus as corpus_module, docgraph, embedding
 from ginopic.corpus import build_corpus, load_corpus, save_corpus
 from ginopic.docgraph import build_all_graphs, load_graph_store, save_graph_store
-from ginopic.downstream import LinearClassifier, SvmConfig, load_classifier, save_classifier
 from ginopic.embedding import load_embeddings, save_binary
 from ginopic.errors import DataError
 from ginopic.gin import GinConfig
 from ginopic.topicmodel import TopicModel, TrainConfig, load_checkpoint, save_checkpoint
 
-from conftest import make_embeddings
+from conftest import load_under_limit, make_embeddings, rewrite_header
 
 TEXTS = ["apple banana cherry apple", "banana cherry melon", "engine wheel brake",
          "wheel brake motor engine", "apple melon cherry", "motor engine wheel"]
@@ -33,8 +33,6 @@ def artifacts(tmp_path_factory):
     embeddings = make_embeddings(vocab, gen.standard_normal((len(vocab), 3)))
     config = TrainConfig(topics=2, gin=GinConfig(tau=2, hidden=2, tau_out=2),
                          encoder_hidden=2, epochs=1)
-    clf = LinearClassifier(classes=np.array([0, 1]), weights=gen.standard_normal((2, 2)),
-                           biases=gen.standard_normal(2))
     writers = {
         "GINOCORP1": (lambda p: save_corpus(corpus, p), load_corpus),
         "GINOGRAPH1": (lambda p: save_graph_store(build_all_graphs(corpus, embeddings, 0.0), p),
@@ -43,7 +41,6 @@ def artifacts(tmp_path_factory):
                      lambda p: load_embeddings(p, vocab)),
         "GINOCKPT1": (lambda p: save_checkpoint(TopicModel(len(vocab), config), p),
                       load_checkpoint),
-        "GINOCLF1": (lambda p: save_classifier(clf, SvmConfig(epochs=3), p), load_classifier),
     }
     out = {}
     for name, (write, load) in writers.items():
@@ -54,7 +51,7 @@ def artifacts(tmp_path_factory):
     return out
 
 
-FORMATS = ["GINOCORP1", "GINOGRAPH1", "GINOEMB1", "GINOCKPT1", "GINOCLF1"]
+FORMATS = ["GINOCORP1", "GINOGRAPH1", "GINOEMB1", "GINOCKPT1"]
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -78,6 +75,51 @@ def test_bit_flip_loads_or_is_data_error(artifacts, fmt, data):
         load(path)
     except DataError:
         pass
+
+
+HUGE = 10 ** 9
+
+
+def _huge(key, index=None):
+    """Set header field `key` (or item `index` of the list there) to HUGE."""
+    return lambda h: {**h, key: HUGE if index is None else
+                      [HUGE if i == index else v for i, v in enumerate(h[key])]}
+
+
+# format -> (source defining `load(path)`, magic, edits): one edit per integer
+# header field (the checkpoint's are in test_topicmodel.py)
+HUGE_HEADER_EDITS = {
+    "GINOCORP1": ("from ginopic.corpus import load_corpus as load", corpus_module._MAGIC,
+                  {key: _huge(key) for key in ("v", "n_train", "n_validation", "n_test",
+                                               "k_gold", "seed")}),
+    "GINOGRAPH1": ("from ginopic.docgraph import load_graph_store as load", docgraph._MAGIC,
+                   {"n_graphs": _huge("n_graphs"),
+                    **{f"split_sizes{i}": _huge("split_sizes", i) for i in range(3)},
+                    "n_graphs_and_split_sizes": lambda h: {**h, "n_graphs": HUGE,
+                                                           "split_sizes": [HUGE, 0, 0]}}),
+    "GINOEMB1": ("from ginopic.corpus import load_corpus\n"
+                 "from ginopic.embedding import load_embeddings\n"
+                 "vocab = load_corpus({corpus!r}).vocabulary\n"
+                 "def load(path): load_embeddings(path, vocab)", embedding._MAGIC,
+                 {key: _huge(key) for key in ("v", "dim", "seed")}),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(HUGE_HEADER_EDITS))
+def test_huge_header_field_is_data_error_under_memory_limit(artifacts, fmt, tmp_path):
+    """One file per edit, all loaded in one child process under a 1 GiB
+    address-space limit.  A seed sizes nothing, so a huge one loads."""
+    loader, magic, edits = HUGE_HEADER_EDITS[fmt]
+    corpus_path = tmp_path / "corpus.bin"
+    corpus_path.write_bytes(artifacts["GINOCORP1"][0])
+    paths = []
+    for name, edit in edits.items():
+        paths.append(tmp_path / f"{name}.bin")
+        paths[-1].write_bytes(artifacts[fmt][0])
+        rewrite_header(paths[-1], magic, edit)
+    outcomes = load_under_limit(loader.format(corpus=str(corpus_path)), paths)
+    assert dict(zip(edits, outcomes)) == {
+        name: "loaded" if name == "seed" else "DataError" for name in edits}
 
 
 def _write_opens(source: str) -> list:

@@ -16,7 +16,6 @@ from ginopic import cli, corpus as corpus_module, topicmodel
 from ginopic.cli import main
 from ginopic.corpus import load_corpus
 from ginopic.docgraph import load_graph_store, save_graph_store
-from ginopic.downstream import load_classifier
 from ginopic.embedding import load_embeddings, save_binary
 from ginopic.rng import stream
 
@@ -309,6 +308,16 @@ class TestTrain:
         assert len(calls) == 1
         assert len((tmp_path / "batch" / "aggregate.tsv").read_text().split("\n")) >= 3
 
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_nonpositive_seeds_rejected(self, pipeline, tmp_path, capsys, seeds):
+        rc, _, err = run(capsys, ["train", "--corpus", pipeline.corpus,
+                                  "--graphs", pipeline.graphs, "--topics", "2",
+                                  "--epochs", "1", "--seeds", seeds,
+                                  "--out", str(tmp_path / "r")] + TRAIN_DIMS)
+        assert rc == 2
+        assert f"--seeds must be >= 1, got {seeds}" in err
+        assert not (tmp_path / "r").exists()
+
     def test_delta_sweep_needs_embeddings(self, pipeline, tmp_path, capsys):
         rc, _, _ = run(capsys, ["train", "--corpus", pipeline.corpus, "--topics", "2",
                                 "--epochs", "1", "--delta-sweep", "0.3",
@@ -436,12 +445,10 @@ class TestEvalTopics:
 class TestClassify:
     def test_accuracy_table(self, pipeline, tmp_path, capsys):
         out_file = str(tmp_path / "acc.tsv")
-        clf_path = str(tmp_path / "clf.bin")
         rc, out, _ = run(capsys, ["classify", "--model", pipeline.model,
                                   "--corpus", pipeline.corpus,
                                   "--graphs", pipeline.graphs, "--runs", "2",
-                                  "--svm-epochs", "25", "--out", out_file,
-                                  "--save-classifier", clf_path])
+                                  "--svm-epochs", "25", "--out", out_file])
         assert rc == 0
         report = parse_table(out)
         assert report["run"] == ["seed", "accuracy"]
@@ -450,9 +457,6 @@ class TestClassify:
         assert float(report["mean"][1]) == pytest.approx(np.mean(accs), abs=1e-6)
         lines = open(out_file).read().strip().split("\n")
         assert len(lines) == 4
-        clf, config = load_classifier(clf_path)
-        assert config.epochs == 25
-        assert clf.weights.shape == (2, 2)
 
     def test_out_in_missing_directory_exit_code(self, pipeline, tmp_path, capsys):
         rc, _, err = run(capsys, ["classify", "--model", pipeline.model,

@@ -137,11 +137,6 @@ class TestTfidf:
         assert idf[1] == pytest.approx(math.log(3.0) + 1.0)
         assert np.all(np.isfinite(idf)) and np.all(idf > 0)
 
-    def test_self_fit_requires_consistent_df(self):
-        vocab = make_vocabulary(["aa", "bb"], doc_frequency=[1, 0])
-        with pytest.raises(ContractError):
-            compute_tfidf([make_document([0, 1])], vocab)
-
     def test_idf_length_mismatch(self):
         vocab = make_vocabulary(["aa", "bb"])
         with pytest.raises(ContractError):

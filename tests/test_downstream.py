@@ -1,7 +1,4 @@
-"""Linear SVM on topic proportions: hand-traced updates, determinism, I/O."""
-import json
-import struct
-
+"""Linear SVM on topic proportions: hand-traced updates, determinism, theta export."""
 import numpy as np
 import pytest
 
@@ -12,11 +9,9 @@ from ginopic.downstream import (
     SvmConfig,
     evaluate_accuracy,
     export_theta,
-    load_classifier,
-    save_classifier,
     train_classifier,
 )
-from ginopic.errors import ConfigError, ContractError, DataError
+from ginopic.errors import ConfigError, ContractError
 from ginopic.gin import GinConfig
 from ginopic.rng import stream
 from ginopic.synthetic import block_embeddings, block_topic_corpus
@@ -253,128 +248,6 @@ class TestClassifierBehavior:
         )
         with pytest.raises(ContractError):
             evaluate_accuracy(clf, np.zeros((0, 2)), [])
-
-
-def small_classifier():
-    x, y = clusters(20, [np.zeros(3), np.ones(3)], noise=0.2, seed=0)
-    config = SvmConfig(epochs=5, seed=2)
-    return train_classifier(x, y, config), config
-
-
-class TestClassifierFile:
-    def test_round_trip_bitwise(self, tmp_path):
-        clf, config = small_classifier()
-        path = tmp_path / "clf.bin"
-        save_classifier(clf, config, path)
-        loaded, loaded_config = load_classifier(path)
-        assert np.array_equal(loaded.classes, clf.classes)
-        assert np.array_equal(loaded.weights, clf.weights)
-        assert np.array_equal(loaded.biases, clf.biases)
-        assert loaded_config == config
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "clf.bin"
-        path.write_bytes(b"NOTACLF!!")
-        with pytest.raises(DataError, match="magic"):
-            load_classifier(path)
-
-    def test_truncated(self, tmp_path):
-        clf, config = small_classifier()
-        path = tmp_path / "clf.bin"
-        save_classifier(clf, config, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-4])
-        with pytest.raises(DataError, match="truncated"):
-            load_classifier(path)
-
-    def test_trailing(self, tmp_path):
-        clf, config = small_classifier()
-        path = tmp_path / "clf.bin"
-        save_classifier(clf, config, path)
-        path.write_bytes(path.read_bytes() + b"!")
-        with pytest.raises(DataError, match="trailing"):
-            load_classifier(path)
-
-
-GOOD_HEADER = {"classes": [0, 1], "n_features": 3, "version": 1,
-               "config": {"epochs": 5, "l2": 0.0001, "lr": 0.01, "seed": 2}}
-
-
-def _json(**edit):
-    return json.dumps({**GOOD_HEADER, **edit}).encode()
-
-
-def _config(**edit):
-    return _json(config={**GOOD_HEADER["config"], **edit})
-
-
-HEADER_EDITS = {
-    "bad_json": b'{"version": 1,',
-    "not_utf8": b"\xff\xfe{}",
-    "not_object": b"[1, 2]",
-    "bad_version": _json(version=2),
-    "missing_classes": json.dumps({k: v for k, v in GOOD_HEADER.items()
-                                   if k != "classes"}).encode(),
-    "classes_not_list": _json(classes=3),
-    "classes_empty": _json(classes=[]),
-    "classes_unsorted": _json(classes=[1, 0]),
-    "classes_float": _json(classes=[0, 1.5]),
-    "n_features_string": _json(n_features="3"),
-    "n_features_zero": _json(n_features=0),
-    "config_not_object": _json(config=[5]),
-    "config_unknown_key": _config(momentum=0.9),
-    "config_missing_key": _json(config={"epochs": 5, "lr": 0.01, "l2": 0.0001}),
-    "config_string_value": _config(lr="0.01"),
-    "config_float_epochs": _config(epochs=5.0),
-    "config_invalid_value": _config(epochs=0),
-    "huge_header_length": None,
-}
-
-# weights (2 x 3) and biases (2) of GOOD_HEADER
-PAYLOAD = np.arange(8, dtype="<f8").tobytes()
-
-
-def write_with_header(path, head):
-    """A classifier file whose header bytes are `head`; None writes a header
-    length far past the end of the file."""
-    if head is None:
-        path.write_bytes(downstream._MAGIC + struct.pack("<Q", 2 ** 62) + b"{}")
-    else:
-        path.write_bytes(downstream._MAGIC + struct.pack("<Q", len(head)) + head + PAYLOAD)
-
-
-class TestClassifierFileHeader:
-    def test_well_formed_header_loads(self, tmp_path):
-        """The malformed cases differ from this one only in the edit."""
-        path = tmp_path / "clf.bin"
-        write_with_header(path, _json())
-        clf, config = load_classifier(path)
-        assert clf.weights.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
-        assert config == SvmConfig(epochs=5, seed=2)
-
-    @pytest.mark.parametrize("edit", sorted(HEADER_EDITS))
-    def test_malformed_header_is_data_error(self, tmp_path, edit):
-        path = tmp_path / "clf.bin"
-        write_with_header(path, HEADER_EDITS[edit])
-        with pytest.raises(DataError):
-            load_classifier(path)
-
-    def test_failed_write_keeps_previous_file(self, tmp_path):
-        clf, config = small_classifier()
-        path = tmp_path / "clf.bin"
-        save_classifier(clf, config, path)
-        before = path.read_bytes()
-        bad = LinearClassifier(classes=clf.classes, weights=clf.weights,
-                               biases=np.array(["x", "y"], dtype=object))
-        with pytest.raises(ValueError):
-            save_classifier(bad, config, path)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["clf.bin"]
-
-    def test_unwritable_path_is_data_error(self, tmp_path):
-        clf, config = small_classifier()
-        with pytest.raises(DataError, match="cannot write"):
-            save_classifier(clf, config, tmp_path / "missing_dir" / "clf.bin")
 
 
 class TestExportTheta:

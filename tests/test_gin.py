@@ -6,12 +6,11 @@ import pytest
 
 import ginopic.tensor as T
 from ginopic.docgraph import DocumentGraph
-from ginopic.errors import ConfigError, ContractError
+from ginopic.errors import ConfigError, ContractError, ShapeError
 from ginopic.gin import (
     GinConfig,
     GinStack,
     batch_adjacency,
-    gin_layer_forward,
     gin_stack_forward,
     wl_distinguishability_test,
 )
@@ -27,10 +26,6 @@ def graph(n, edges, node_ids=None, delta=0.0):
     )
     ids = tuple(range(n)) if node_ids is None else tuple(node_ids)
     return DocumentGraph(node_ids=ids, adjacency=adjacency, delta=delta)
-
-
-def identity(x):
-    return x
 
 
 def small_stack(seed=0, tau=8, hidden=16, tau_out=8, layers=2, dtype=None):
@@ -140,29 +135,34 @@ class TestBatchAdjacencyMatchesLoop:
         assert got[2].tolist() == [0, 0, 0, 1, 2, 2]
 
 
+def aggregate(h, g, eps):
+    """One GIN aggregation, (1 + eps) h_i + sum_j w_ji h_j, over a single graph."""
+    return T.spmm(batch_adjacency([g], eps, dtype=h.dtype)[0], h)
+
+
 class TestLayerHandValues:
     def test_edgeless_identity_mlp_zero_epsilon_is_identity(self):
         g = graph(2, [])
         h = T.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=F64))
-        out = gin_layer_forward(h, g, 0.0, identity)
+        out = aggregate(h, g, 0.0)
         assert np.array_equal(out.data, h.data)
 
     def test_unit_edge_sums_neighbor(self):
         g = graph(2, [(0, 1, 1.0)])
         h = T.Tensor(np.array([[1.0, 2.0], [10.0, 20.0]], dtype=F64))
-        out = gin_layer_forward(h, g, 0.0, identity)
+        out = aggregate(h, g, 0.0)
         assert out.data.tolist() == [[11.0, 22.0], [11.0, 22.0]]
 
     def test_edge_weight_scales_contribution(self):
         g = graph(2, [(0, 1, 0.25)])
         h = T.Tensor(np.array([[1.0, 2.0], [10.0, 20.0]], dtype=F64))
-        out = gin_layer_forward(h, g, 0.0, identity)
+        out = aggregate(h, g, 0.0)
         assert out.data[0].tolist() == [1.0 + 2.5, 2.0 + 5.0]
 
     def test_isolated_node_keeps_scaled_self(self):
         g = graph(1, [])
         h = T.Tensor(np.array([[2.0]], dtype=F64))
-        out = gin_layer_forward(h, g, 0.5, identity)
+        out = aggregate(h, g, 0.5)
         assert out.data.tolist() == [[3.0]]
 
     def test_epsilon_minus_one_is_pure_neighbor_sum(self):
@@ -170,15 +170,15 @@ class TestLayerHandValues:
         h = T.Tensor(np.random.default_rng(0).normal(size=(3, 4)))
         g1 = graph(3, [(0, 1, 0.3), (1, 2, 0.4)])
         g2 = graph(3, [(0, 1, 0.6), (1, 2, 0.8)])
-        out1 = gin_layer_forward(h, g1, -1.0, identity)
-        out2 = gin_layer_forward(h, g2, -1.0, identity)
+        out1 = aggregate(h, g1, -1.0)
+        out2 = aggregate(h, g2, -1.0)
         assert np.array_equal(out2.data, 2.0 * out1.data)
 
     def test_node_count_mismatch(self):
         g = graph(3, [])
         h = T.Tensor(np.zeros((2, 4)))
-        with pytest.raises(ContractError):
-            gin_layer_forward(h, g, 0.0, identity)
+        with pytest.raises(ShapeError):
+            aggregate(h, g, 0.0)
 
 
 class TestStack:

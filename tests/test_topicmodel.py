@@ -1,8 +1,5 @@
 """Dirichlet prior moments, ELBO pieces, training determinism, checkpoints."""
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -32,7 +29,7 @@ from ginopic.topicmodel import (
     train,
 )
 
-from conftest import rewrite_header
+from conftest import load_under_limit, rewrite_header
 
 F64 = np.float64
 
@@ -541,10 +538,20 @@ class TestCheckpoints:
         save_checkpoint(model, path)
         before = path.read_bytes()
         model.beta.data = np.full(model.beta.shape, "x", dtype=object)
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError):  # raised mid-write, at beta
             save_checkpoint(model, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_float64_model_is_rejected(self, tiny_data, tmp_path):
+        """The payload is float32, so a float64 model would not round-trip
+        (0.1 would load back as float32(0.1)); it is refused, not rounded."""
+        corpus, _ = tiny_data
+        with T.default_dtype(np.float64):
+            model = TopicModel(len(corpus.vocabulary), small_config())
+        with pytest.raises(ContractError, match="float32"):
+            save_checkpoint(model, tmp_path / "model.ckpt")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_path_is_data_error(self, tiny_data, tmp_path):
         corpus, _ = tiny_data
@@ -552,24 +559,6 @@ class TestCheckpoints:
         with pytest.raises(DataError, match="cannot write"):
             save_checkpoint(model, tmp_path / "missing" / "model.ckpt")
 
-
-# Loads each checkpoint given on the command line under an address-space
-# limit that only this child process has, and prints how each load ended.
-_LIMITED_LOADER = """
-import resource, sys
-limit = int(sys.argv[1])
-resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-from ginopic.errors import DataError
-from ginopic.topicmodel import load_checkpoint
-for path in sys.argv[2:]:
-    try:
-        load_checkpoint(path)
-        print("loaded")
-    except DataError:
-        print("DataError")
-    except MemoryError:
-        print("MemoryError")
-"""
 
 HUGE = 10 ** 9
 
@@ -616,10 +605,6 @@ class TestCheckpointAllocationBound:
             save_checkpoint(TopicModel(len(corpus.vocabulary), small_config()), path)
             rewrite_header(path, topicmodel._MAGIC, edit)
             paths.append(str(path))
-        src = os.path.dirname(os.path.dirname(os.path.abspath(topicmodel.__file__)))
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-        done = subprocess.run([sys.executable, "-c", _LIMITED_LOADER, str(2 ** 30), *paths],
-                              capture_output=True, text=True, env=env, timeout=300)
-        assert done.returncode == 0, done.stderr
-        outcomes = dict(zip(sorted(HUGE_HEADER_EDITS), done.stdout.split()))
+        outcomes = dict(zip(sorted(HUGE_HEADER_EDITS), load_under_limit(
+            "from ginopic.topicmodel import load_checkpoint as load", paths)))
         assert outcomes == dict.fromkeys(sorted(HUGE_HEADER_EDITS), "DataError")
