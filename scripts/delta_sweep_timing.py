@@ -37,7 +37,7 @@ def main(argv=None) -> int:
     v = len(corpus.vocabulary)
     embeddings = EmbeddingMatrix(
         vectors=stream(4, "sweep/embeddings").normal(size=(v, args.dim)),
-        oov_mask=np.zeros(v, dtype=bool), vocabulary=corpus.vocabulary, seed=0,
+        oov_mask=np.zeros(v, dtype=bool), vocabulary=corpus.vocabulary,
     )
 
     print("delta\tedges\tbuild_seconds\ttrain_seconds")

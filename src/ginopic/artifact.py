@@ -6,12 +6,13 @@ turns every OSError into a `DataError`; every text output goes through it,
 tables through `write_tsv`.
 
 `write_artifact`/`read_artifact` are the binary container shared by all
-four binary formats (corpus cache, graph cache, embedding cache and
-checkpoint): magic line, u64 little-endian header length, JSON header
-(sorted keys, compact), then the format's payload.  `read_artifact` turns every
-unreadable, truncated or malformed file into a `DataError`: each header
-field is checked by the caller's validator before any code reads it, and
-every read length is checked against the bytes left in the file.
+three binary formats (corpus cache, graph cache and checkpoint), each
+written by the pipeline stage that reads it back: magic line, u64
+little-endian header length, JSON header (sorted keys, compact), then the
+format's payload.  `read_artifact` turns every unreadable, truncated or
+malformed file into a `DataError`: each header field is checked by the
+caller's validator before any code reads it, and every read length is
+checked against the bytes left in the file.
 """
 from __future__ import annotations
 

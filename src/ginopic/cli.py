@@ -170,7 +170,7 @@ _PREPROCESS_OPTS = [
 
 _BUILD_GRAPHS_OPTS = [
     Opt("--corpus", str, required=True, help="corpus cache from `preprocess`"),
-    Opt("--embeddings", str, required=True, help="word embeddings (text or binary)"),
+    Opt("--embeddings", str, required=True, help="word embeddings (UTF-8 text)"),
     Opt("--delta", float, help="similarity threshold in [0, 1]"),
     Opt("--preset", str, "custom", help="dataset preset supplying delta (20ng|bbc|ss|bio|so|custom)"),
     Opt("--seed", int, 0, help="seed for out-of-vocabulary embedding fill"),

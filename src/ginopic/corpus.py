@@ -122,7 +122,11 @@ class CorpusSplit:
     validation: list
     test: list
     label_names: list | None = None
-    k_gold: int | None = None
+
+    @property
+    def k_gold(self) -> int | None:
+        """Number of ground-truth labels; None for an unlabeled corpus."""
+        return None if self.label_names is None else len(self.label_names)
 
     @property
     def sizes(self):
@@ -153,10 +157,6 @@ class Corpus:
 
     def save(self, path) -> None:
         save_corpus(self, path)
-
-    @classmethod
-    def load(cls, path) -> "Corpus":
-        return load_corpus(path)
 
 
 def tokenize(text: str, options: PreprocessOptions) -> list:
@@ -305,7 +305,6 @@ def assemble_corpus(
         raise DataError("empty corpus: no documents to assemble")
     split = split_corpus(documents, ratios=ratios, seed=seed)
     split.label_names = list(label_names) if label_names is not None else None
-    split.k_gold = len(label_names) if label_names is not None else None
     idf, _ = idf_vector(split.train, len(vocabulary))
     for part in (split.train, split.validation, split.test):
         compute_tfidf(part, vocabulary, idf=idf)
@@ -384,7 +383,6 @@ _HEADER_FIELDS = {
     "n_test": is_count,
     "label_names": lambda v: v is None or (type(v) is list
                                            and all(type(name) is str for name in v)),
-    "k_gold": lambda v: v is None or is_count(v),
     "options": lambda v: type(v) is dict,
     "seed": is_int,
     "ratios": lambda v: type(v) is list and len(v) == 3 and all(map(is_number, v)),
@@ -400,7 +398,6 @@ def save_corpus(corpus: Corpus, path) -> None:
         "n_validation": len(corpus.split.validation),
         "n_test": len(corpus.split.test),
         "label_names": corpus.split.label_names,
-        "k_gold": corpus.split.k_gold,
         "options": corpus.options,
         "seed": corpus.seed,
         "ratios": list(corpus.ratios),
@@ -437,8 +434,6 @@ def load_corpus(path) -> Corpus:
         raise DataError(f"corpus cache holds a word id outside its {v}-word vocabulary",
                         path=path)
     names = header["label_names"]
-    if header["k_gold"] != (None if names is None else len(names)):
-        raise DataError("corpus cache k_gold does not count its label names", path=path)
     n_labels = len(names or ())
     if any(d.label is not None and d.label >= n_labels for d in docs):
         raise DataError(f"corpus cache holds a label outside its {n_labels} label names",
@@ -448,7 +443,6 @@ def load_corpus(path) -> Corpus:
         validation=parts[1],
         test=parts[2],
         label_names=names,
-        k_gold=header["k_gold"],
     )
     return Corpus(
         vocabulary=vocabulary,

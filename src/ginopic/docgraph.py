@@ -118,9 +118,6 @@ class GraphStore:
         a = self.split_sizes[0] + self.split_sizes[1]
         return self.graphs[a:]
 
-    def save(self, path) -> None:
-        save_graph_store(self, path)
-
 
 def build_all_graphs(
     corpus: Corpus,

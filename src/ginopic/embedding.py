@@ -1,7 +1,7 @@
 """Pretrained word embeddings aligned to a vocabulary.
 
-Text format: one word per line, "word v1 v2 ... vdim", whitespace separated.
-Binary cache: magic GINOEMB1, little-endian float32, vocabulary-aligned.
+Input format: UTF-8 text, one word per line, "word v1 v2 ... vdim",
+whitespace separated.
 
 Words missing from the file (OOV) get reproducible uniform(-0.1, 0.1) fills
 drawn from a stream keyed by (seed, word), so the fill for a given word is
@@ -19,12 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifact import is_count, is_int, read_artifact, write_artifact
 from .corpus import Vocabulary
 from .errors import DataError
 from .rng import stream
-
-_MAGIC = b"GINOEMB1\n"
 
 
 @dataclass
@@ -34,7 +31,6 @@ class EmbeddingMatrix:
     vectors: np.ndarray      # (V, dim) float32
     oov_mask: np.ndarray     # (V,) bool, True where the row was filled
     vocabulary: Vocabulary
-    seed: int
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float32)
@@ -113,24 +109,16 @@ def _parse_text(path, vocabulary: Vocabulary):
 
 
 def load_embeddings(path, vocabulary: Vocabulary, seed: int = 0) -> EmbeddingMatrix:
-    """Load text or binary embeddings and align them to `vocabulary`.
+    """Load text embeddings and align them to `vocabulary`.
 
     Raises DataError if the file is malformed or shares no words with the
     vocabulary at all (a wrong-file guard; pure OOV fill would train on
     noise).
     """
     try:
-        with open(path, "rb") as probe:
-            is_binary = probe.read(len(_MAGIC)) == _MAGIC
-    except OSError as e:
-        raise DataError(f"cannot read embedding file: {e}", path=path) from e
-    if is_binary:
-        return _load_binary(path, vocabulary)
-    try:
         found, dim = _parse_text(path, vocabulary)
     except UnicodeDecodeError as e:
-        raise DataError(f"embedding file is neither UTF-8 text nor a binary cache: {e}",
-                        path=path) from e
+        raise DataError(f"embedding file is not UTF-8 text: {e}", path=path) from e
     if not found:
         raise DataError("embedding file shares no words with the vocabulary", path=path)
     vectors = np.empty((len(vocabulary), dim), dtype=np.float32)
@@ -142,43 +130,7 @@ def load_embeddings(path, vocabulary: Vocabulary, seed: int = 0) -> EmbeddingMat
             oov[i] = True
         else:
             vectors[i] = hit
-    return EmbeddingMatrix(vectors=vectors, oov_mask=oov, vocabulary=vocabulary, seed=seed)
-
-
-def save_binary(embeddings: EmbeddingMatrix, path) -> None:
-    """Write the vocabulary-aligned binary cache (GINOEMB1, little-endian f32)
-    atomically (see `artifact.write_artifact`)."""
-    header = {
-        "version": 1,
-        "v": int(embeddings.vectors.shape[0]),
-        "dim": embeddings.dim,
-        "seed": embeddings.seed,
-        "vocab_sha256": embeddings.vocabulary.sha256,
-    }
-    with write_artifact(path, _MAGIC, header, "embedding cache") as fh:
-        fh.write(embeddings.vectors.astype("<f4").tobytes())
-        fh.write(np.packbits(embeddings.oov_mask).tobytes())
-
-
-_HEADER_FIELDS = {
-    "v": is_count,
-    "dim": lambda v: is_count(v) and v > 0,
-    "seed": is_int,
-    "vocab_sha256": lambda v: type(v) is str,
-}
-
-
-def _load_binary(path, vocabulary: Vocabulary) -> EmbeddingMatrix:
-    with read_artifact(path, _MAGIC, _HEADER_FIELDS, "embedding cache") as (header, read):
-        if header["vocab_sha256"] != vocabulary.sha256 or header["v"] != len(vocabulary):
-            raise DataError("embedding cache was built for a different vocabulary", path=path)
-        v, dim = header["v"], header["dim"]
-        vectors = np.frombuffer(read(4 * v * dim), dtype="<f4")
-        vectors = vectors.reshape(v, dim).astype(np.float32)
-        oov = np.unpackbits(np.frombuffer(read((v + 7) // 8), dtype=np.uint8))[:v].astype(bool)
-    return EmbeddingMatrix(
-        vectors=vectors, oov_mask=oov, vocabulary=vocabulary, seed=header["seed"]
-    )
+    return EmbeddingMatrix(vectors=vectors, oov_mask=oov, vocabulary=vocabulary)
 
 
 _TILE = 256

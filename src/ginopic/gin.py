@@ -20,7 +20,7 @@ word always starts from the same feature row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 
 import numpy as np
@@ -53,14 +53,7 @@ class GinConfig:
             raise ConfigError("mlp_hidden_layers must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "hidden": self.hidden,
-            "tau_out": self.tau_out,
-            "layers": self.layers,
-            "mlp_hidden_layers": self.mlp_hidden_layers,
-            "epsilon": self.epsilon,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GinConfig":

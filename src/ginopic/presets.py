@@ -1,8 +1,7 @@
 """Per-dataset hyperparameter presets.
 
-Each preset bundles the tuned graph threshold and network dimensions for one
-of the five benchmark corpora, plus its ground-truth label count (the default
-topic count when none is requested).  `custom` carries no values; every field
+Each preset supplies the tuned graph threshold (delta) and GIN dimensions for
+one of the five benchmark corpora.  `custom` carries no values; every field
 must then be given explicitly.
 """
 from __future__ import annotations
@@ -21,20 +20,19 @@ class Preset:
     mlp_hidden_layers: int
     mlp_hidden_dim: int
     tau_out: int             # output node-feature dim
-    k_gold: int              # number of ground-truth labels
 
 
 PRESETS = {
     "20ng": Preset("20ng", delta=0.40, tau=2048, gin_layers=2, mlp_hidden_layers=1,
-                   mlp_hidden_dim=200, tau_out=768, k_gold=20),
+                   mlp_hidden_dim=200, tau_out=768),
     "bbc": Preset("bbc", delta=0.30, tau=256, gin_layers=3, mlp_hidden_layers=1,
-                  mlp_hidden_dim=50, tau_out=512, k_gold=5),
+                  mlp_hidden_dim=50, tau_out=512),
     "ss": Preset("ss", delta=0.20, tau=1024, gin_layers=2, mlp_hidden_layers=1,
-                 mlp_hidden_dim=50, tau_out=256, k_gold=8),
+                 mlp_hidden_dim=50, tau_out=256),
     "bio": Preset("bio", delta=0.05, tau=1024, gin_layers=2, mlp_hidden_layers=1,
-                  mlp_hidden_dim=200, tau_out=256, k_gold=20),
+                  mlp_hidden_dim=200, tau_out=256),
     "so": Preset("so", delta=0.10, tau=64, gin_layers=2, mlp_hidden_layers=1,
-                 mlp_hidden_dim=300, tau_out=512, k_gold=20),
+                 mlp_hidden_dim=300, tau_out=512),
 }
 
 

@@ -83,7 +83,7 @@ def block_topic_corpus(seed: int = 0, n_docs: int = 1000, n_topics: int = 3,
 
 
 def block_embeddings(vocabulary: Vocabulary, n_topics: int, words_per_topic: int,
-                     within: float = 0.9, seed: int = 0) -> EmbeddingMatrix:
+                     within: float = 0.9) -> EmbeddingMatrix:
     """Block-structured vectors: cos = `within` inside a block, 0 across blocks."""
     if not 0.0 <= within <= 1.0:
         raise ConfigError(f"within-block similarity must lie in [0, 1], got {within}")
@@ -99,7 +99,7 @@ def block_embeddings(vocabulary: Vocabulary, n_topics: int, words_per_topic: int
         vectors[wid, block] = np.sqrt(within)
         vectors[wid, n_topics + wid] = np.sqrt(1.0 - within)
     return EmbeddingMatrix(vectors=vectors, oov_mask=np.zeros(v, dtype=bool),
-                           vocabulary=vocabulary, seed=seed)
+                           vocabulary=vocabulary)
 
 
 def probe_documents(n_topics: int, words_per_topic: int, n_per_topic: int = 20,
@@ -191,7 +191,7 @@ def labeled_text_corpus(seed: int = 0, n_docs: int = 2400, n_classes: int = 6,
 
 
 def desk_embeddings(vocabulary: Vocabulary, word_classes: dict, n_classes: int,
-                    within: float = 0.6, seed: int = 0) -> EmbeddingMatrix:
+                    within: float = 0.6) -> EmbeddingMatrix:
     """Class-block geometry over a preprocessed vocabulary.
 
     Class words share cos = `within` inside their class and 0 across classes;
@@ -211,4 +211,4 @@ def desk_embeddings(vocabulary: Vocabulary, word_classes: dict, n_classes: int,
             vectors[wid, c] = np.sqrt(within)
             vectors[wid, n_classes + wid] = np.sqrt(1.0 - within)
     return EmbeddingMatrix(vectors=vectors, oov_mask=np.zeros(v, dtype=bool),
-                           vocabulary=vocabulary, seed=seed)
+                           vocabulary=vocabulary)

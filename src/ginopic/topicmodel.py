@@ -26,7 +26,7 @@ and the loss is the batch mean of their sum.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -114,19 +114,7 @@ class TrainConfig:
         return np.full(self.topics, a, dtype=np.float64)
 
     def to_dict(self) -> dict:
-        return {
-            "topics": self.topics,
-            "gin": self.gin.to_dict(),
-            "encoder_hidden": self.encoder_hidden,
-            "encoder_layers": self.encoder_layers,
-            "dropout": self.dropout,
-            "alpha": self.alpha,
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "delta": self.delta,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":

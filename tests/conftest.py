@@ -28,13 +28,12 @@ def make_vocabulary(words, doc_frequency=None):
     return Vocabulary(words=list(words), doc_frequency=doc_frequency)
 
 
-def make_embeddings(vocabulary, vectors, seed=0):
+def make_embeddings(vocabulary, vectors):
     vectors = np.asarray(vectors, dtype=np.float32)
     return EmbeddingMatrix(
         vectors=vectors,
         oov_mask=np.zeros(vectors.shape[0], dtype=bool),
         vocabulary=vocabulary,
-        seed=seed,
     )
 
 

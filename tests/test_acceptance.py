@@ -535,7 +535,7 @@ def test_9_determinism_and_persistence(tmp_path):
     v = len(corpus.vocabulary)
     sweep_emb = EmbeddingMatrix(
         vectors=stream(4, "acceptance/sweep-emb").normal(size=(v, 12)),
-        oov_mask=np.zeros(v, dtype=bool), vocabulary=corpus.vocabulary, seed=0,
+        oov_mask=np.zeros(v, dtype=bool), vocabulary=corpus.vocabulary,
     )
     edge_counts = []
     for delta in (0.1, 0.3, 0.5):

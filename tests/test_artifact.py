@@ -1,6 +1,8 @@
 """The shared artifact container: every binary format fails closed on damage,
 and no module but `artifact.py` opens a file for writing."""
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ginopic
-from ginopic import corpus as corpus_module, docgraph, embedding
+from ginopic import corpus as corpus_module, docgraph
 from ginopic.corpus import build_corpus, load_corpus, save_corpus
 from ginopic.docgraph import build_all_graphs, load_graph_store, save_graph_store
-from ginopic.embedding import load_embeddings, save_binary
 from ginopic.errors import DataError
 from ginopic.gin import GinConfig
 from ginopic.topicmodel import TopicModel, TrainConfig, load_checkpoint, save_checkpoint
@@ -37,8 +38,6 @@ def artifacts(tmp_path_factory):
         "GINOCORP1": (lambda p: save_corpus(corpus, p), load_corpus),
         "GINOGRAPH1": (lambda p: save_graph_store(build_all_graphs(corpus, embeddings, 0.0), p),
                        load_graph_store),
-        "GINOEMB1": (lambda p: save_binary(embeddings, p),
-                     lambda p: load_embeddings(p, vocab)),
         "GINOCKPT1": (lambda p: save_checkpoint(TopicModel(len(vocab), config), p),
                       load_checkpoint),
     }
@@ -51,7 +50,16 @@ def artifacts(tmp_path_factory):
     return out
 
 
-FORMATS = ["GINOCORP1", "GINOGRAPH1", "GINOEMB1", "GINOCKPT1"]
+FORMATS = ["GINOCORP1", "GINOGRAPH1", "GINOCKPT1"]
+
+
+def test_formats_are_every_magic_in_the_package():
+    """FORMATS, which the damage tests below cover, names exactly the
+    `_MAGIC` constants of the package's modules."""
+    modules = [importlib.import_module(f"ginopic.{info.name}")
+               for info in pkgutil.iter_modules(ginopic.__path__) if info.name != "__main__"]
+    magics = {vars(m)["_MAGIC"].rstrip(b"\n").decode() for m in modules if "_MAGIC" in vars(m)}
+    assert magics == set(FORMATS)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -91,17 +99,12 @@ def _huge(key, index=None):
 HUGE_HEADER_EDITS = {
     "GINOCORP1": ("from ginopic.corpus import load_corpus as load", corpus_module._MAGIC,
                   {key: _huge(key) for key in ("v", "n_train", "n_validation", "n_test",
-                                               "k_gold", "seed")}),
+                                               "seed")}),
     "GINOGRAPH1": ("from ginopic.docgraph import load_graph_store as load", docgraph._MAGIC,
                    {"n_graphs": _huge("n_graphs"),
                     **{f"split_sizes{i}": _huge("split_sizes", i) for i in range(3)},
                     "n_graphs_and_split_sizes": lambda h: {**h, "n_graphs": HUGE,
                                                            "split_sizes": [HUGE, 0, 0]}}),
-    "GINOEMB1": ("from ginopic.corpus import load_corpus\n"
-                 "from ginopic.embedding import load_embeddings\n"
-                 "vocab = load_corpus({corpus!r}).vocabulary\n"
-                 "def load(path): load_embeddings(path, vocab)", embedding._MAGIC,
-                 {key: _huge(key) for key in ("v", "dim", "seed")}),
 }
 
 
@@ -110,14 +113,12 @@ def test_huge_header_field_is_data_error_under_memory_limit(artifacts, fmt, tmp_
     """One file per edit, all loaded in one child process under a 1 GiB
     address-space limit.  A seed sizes nothing, so a huge one loads."""
     loader, magic, edits = HUGE_HEADER_EDITS[fmt]
-    corpus_path = tmp_path / "corpus.bin"
-    corpus_path.write_bytes(artifacts["GINOCORP1"][0])
     paths = []
     for name, edit in edits.items():
         paths.append(tmp_path / f"{name}.bin")
         paths[-1].write_bytes(artifacts[fmt][0])
         rewrite_header(paths[-1], magic, edit)
-    outcomes = load_under_limit(loader.format(corpus=str(corpus_path)), paths)
+    outcomes = load_under_limit(loader, paths)
     assert dict(zip(edits, outcomes)) == {
         name: "loaded" if name == "seed" else "DataError" for name in edits}
 

@@ -16,7 +16,6 @@ from ginopic import cli, corpus as corpus_module, topicmodel
 from ginopic.cli import main
 from ginopic.corpus import load_corpus
 from ginopic.docgraph import load_graph_store, save_graph_store
-from ginopic.embedding import load_embeddings, save_binary
 from ginopic.rng import stream
 
 from conftest import rewrite_header
@@ -178,16 +177,23 @@ class TestBuildGraphs:
         assert rc == 2
 
     def test_malformed_embedding_cache_exit_code(self, pipeline, tmp_path, capsys):
-        emb = load_embeddings(pipeline.emb, load_corpus(pipeline.corpus).vocabulary)
+        """Embeddings are read as text only: a file in the binary embedding
+        cache layout earlier versions wrote (GINOEMB1) is malformed input."""
+        vocabulary = load_corpus(pipeline.corpus).vocabulary
+        v, dim = len(vocabulary), 8
+        head = json.dumps({"dim": dim, "seed": 0, "v": v, "version": 1,
+                           "vocab_sha256": vocabulary.sha256},
+                          sort_keys=True, separators=(",", ":")).encode()
+        vectors = stream(3, "cli/old-cache").standard_normal((v, dim)).astype("<f4")
         cache = tmp_path / "emb.bin"
-        save_binary(emb, cache)
-        rewrite_header(cache, b"GINOEMB1\n",
-                       lambda h: {k: v for k, v in h.items() if k != "dim"})
-        rc, _, err = run(capsys, ["build-graphs", "--corpus", pipeline.corpus,
-                                  "--embeddings", str(cache), "--delta", "0.5",
-                                  "--out", str(tmp_path / "g.bin")])
-        assert rc == 3
-        assert "Traceback" not in err
+        cache.write_bytes(b"GINOEMB1\n" + struct.pack("<Q", len(head)) + head
+                          + vectors.tobytes() + bytes((v + 7) // 8))
+        for args in (["build-graphs", "--corpus", pipeline.corpus, "--delta", "0.5",
+                      "--out", str(tmp_path / "g.bin")],
+                     ["eval-topics", "--model", pipeline.model, "--corpus", pipeline.corpus]):
+            rc, _, err = run(capsys, args + ["--embeddings", str(cache)])
+            assert rc == 3
+            assert_one_line_error(err)
 
     def test_malformed_cache_header_rebuilt(self, pipeline, tmp_path, capsys):
         out = tmp_path / "g.bin"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ginopic import corpus as corpus_module
 from ginopic.corpus import (
-    Corpus,
     Document,
     PreprocessOptions,
     Vocabulary,
@@ -245,8 +244,8 @@ HEADER_EDITS = {
     "not_object": b"[1, 2]",
     "bad_version": _set(version=2),
     **{f"missing_{key}": _drop(key) for key in (
-        "v", "n_train", "n_validation", "n_test", "label_names", "k_gold",
-        "options", "seed", "ratios")},
+        "v", "n_train", "n_validation", "n_test", "label_names", "options", "seed",
+        "ratios")},
     "v_string": _set(v="8"),
     "v_negative": _set(v=-1),
     "v_not_vocabulary_size": _set(v=3),
@@ -254,8 +253,6 @@ HEADER_EDITS = {
     "n_test_past_the_payload": _set(n_test=10_000),
     "label_names_not_list": _set(label_names="one two"),
     "label_names_not_strings": _set(label_names=[1, 2, 3]),
-    "k_gold_string": _set(k_gold="3"),
-    "k_gold_negative": _set(k_gold=-3),
     "options_list": _set(options=[]),
     "seed_float": _set(seed=7.5),
     "seed_bool": _set(seed=True),
@@ -341,6 +338,14 @@ class TestCorpusCache:
         with pytest.raises(DataError):
             load_corpus(path)
 
+    def test_stale_k_gold_is_ignored(self, tmp_path):
+        """Older caches stored k_gold in the header; the label count now
+        comes from label_names alone."""
+        path = tmp_path / "corpus.bin"
+        save_corpus(self._corpus(), path)
+        rewrite_header(path, corpus_module._MAGIC, _set(k_gold=99))
+        assert load_corpus(path).split.k_gold == 3
+
     @pytest.mark.parametrize("old,new", [(b"bravo", b"\xffravo"), (b"bravo", b"alpha")],
                              ids=["not_utf8", "duplicate_word"])
     def test_malformed_vocabulary_is_data_error(self, tmp_path, old, new):
@@ -379,7 +384,7 @@ class TestCorpusCache:
     def test_label_without_label_names_is_data_error(self, tmp_path):
         path = tmp_path / "corpus.bin"
         save_corpus(self._corpus(), path)
-        rewrite_header(path, corpus_module._MAGIC, _set(label_names=None, k_gold=None))
+        rewrite_header(path, corpus_module._MAGIC, _set(label_names=None))
         with pytest.raises(DataError, match="label"):
             load_corpus(path)
 
@@ -405,7 +410,7 @@ class TestCorpusCache:
         corpus.save(p1)
         save_corpus(corpus, p2)
         assert p1.read_bytes() == p2.read_bytes()
-        assert Corpus.load(p1).sha256 == corpus.sha256
+        assert load_corpus(p1).sha256 == corpus.sha256
 
 
 class TestDocument:

@@ -1,4 +1,4 @@
-"""Embedding loading, cosine similarity, OOV filling, and the binary cache."""
+"""Embedding loading, cosine similarity, OOV filling, and the similarity table."""
 import math
 
 import numpy as np
@@ -11,11 +11,10 @@ from ginopic.embedding import (
     cosine_similarity,
     cosine_weights,
     load_embeddings,
-    save_binary,
 )
 from ginopic.errors import DataError
 
-from conftest import make_embeddings, make_vocabulary, rewrite_header
+from conftest import make_embeddings, make_vocabulary
 
 
 class TestCosine:
@@ -100,112 +99,12 @@ class TestTextLoading:
             load_embeddings(tmp_path / "nope.txt", make_vocabulary(["cat"]))
 
 
-def saved_cache(tmp_path):
-    vocab = make_vocabulary(["cat", "dog", "eel"])
-    path = tmp_path / "emb.bin"
-    save_binary(make_embeddings(vocab, np.random.default_rng(0).normal(size=(3, 5))), path)
-    return vocab, path
-
-
-def _drop(key):
-    return lambda h: {k: v for k, v in h.items() if k != key}
-
-
-def _set(**edit):
-    return lambda h: {**h, **edit}
-
-
-HEADER_EDITS = {
-    "bad_json": b'{"version": 1,',
-    "not_utf8": b"\xff\xfe{}",
-    "not_object": b"[1, 2]",
-    "bad_version": _set(version=2),
-    "missing_dim": _drop("dim"),
-    "missing_v": _drop("v"),
-    "missing_seed": _drop("seed"),
-    "missing_vocab_sha256": _drop("vocab_sha256"),
-    "dim_string": _set(dim="5"),
-    "dim_zero": _set(dim=0),
-    "v_negative": _set(v=-3),
-    "v_not_vocabulary_size": _set(v=2),
-    "seed_float": _set(seed=0.5),
-    "huge_header_length": None,
-}
-
-
-class TestBinaryCache:
-    def test_round_trip_bitwise(self, tmp_path):
-        vocab = make_vocabulary(["cat", "dog", "eel"])
-        gen = np.random.default_rng(0)
-        emb = make_embeddings(vocab, gen.normal(size=(3, 5)))
-        path = tmp_path / "emb.bin"
-        save_binary(emb, path)
-        loaded = load_embeddings(path, vocab)
-        assert np.array_equal(loaded.vectors, emb.vectors)
-        assert np.array_equal(loaded.oov_mask, emb.oov_mask)
-        assert loaded.sha256 == emb.sha256
-
-    def test_vocabulary_mismatch_rejected(self, tmp_path):
-        vocab = make_vocabulary(["cat", "dog"])
-        emb = make_embeddings(vocab, np.eye(2))
-        path = tmp_path / "emb.bin"
-        save_binary(emb, path)
-        other = make_vocabulary(["cat", "eel"])
-        with pytest.raises(DataError):
-            load_embeddings(path, other)
-
-    def test_truncated_cache(self, tmp_path):
-        vocab = make_vocabulary(["cat", "dog"])
-        emb = make_embeddings(vocab, np.eye(2))
-        path = tmp_path / "emb.bin"
-        save_binary(emb, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-3])
-        with pytest.raises(DataError):
-            load_embeddings(path, vocab)
-
-    def test_trailing_bytes(self, tmp_path):
-        vocab = make_vocabulary(["cat", "dog"])
-        path = tmp_path / "emb.bin"
-        save_binary(make_embeddings(vocab, np.eye(2)), path)
-        path.write_bytes(path.read_bytes() + b"!")
-        with pytest.raises(DataError, match="trailing"):
-            load_embeddings(path, vocab)
-
-    def test_well_formed_rewrite_loads(self, tmp_path):
-        """The malformed cases differ from this one only in the edit."""
-        vocab, path = saved_cache(tmp_path)
-        rewrite_header(path, embedding._MAGIC, lambda h: h)
-        assert load_embeddings(path, vocab).vectors.shape == (3, 5)
-
-    @pytest.mark.parametrize("edit", sorted(HEADER_EDITS))
-    def test_malformed_header_is_data_error(self, tmp_path, edit):
-        vocab, path = saved_cache(tmp_path)
-        rewrite_header(path, embedding._MAGIC, HEADER_EDITS[edit])
-        with pytest.raises(DataError):
-            load_embeddings(path, vocab)
-
-    def test_failed_write_keeps_previous_cache(self, tmp_path):
-        vocab, path = saved_cache(tmp_path)
-        before = path.read_bytes()
-        bad = make_embeddings(vocab, np.ones((3, 5)))
-        bad.oov_mask = np.array(["x"] * 3, dtype=object)
-        with pytest.raises(TypeError):
-            save_binary(bad, path)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["emb.bin"]
-
-    def test_unwritable_cache_is_data_error(self, tmp_path):
-        vocab = make_vocabulary(["cat", "dog"])
-        with pytest.raises(DataError, match="cannot write"):
-            save_binary(make_embeddings(vocab, np.eye(2)), tmp_path / "missing" / "emb.bin")
-
+class TestEmbeddingMatrix:
     def test_matrix_shape_validation(self):
         vocab = make_vocabulary(["cat", "dog"])
         with pytest.raises(DataError):
             EmbeddingMatrix(
-                vectors=np.zeros((3, 2)), oov_mask=np.zeros(3, dtype=bool),
-                vocabulary=vocab, seed=0,
+                vectors=np.zeros((3, 2)), oov_mask=np.zeros(3, dtype=bool), vocabulary=vocab,
             )
 
 
