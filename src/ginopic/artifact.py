@@ -1,9 +1,10 @@
-"""The one place this package writes files.
+"""The one place this package opens files, to read or to write.
 
-`atomic_write` writes through a temp file in the same directory and
-`os.replace`s it, so a failed write leaves any previous file intact, and
-turns every OSError into a `DataError`; every text output goes through it,
-tables through `write_tsv`.
+`read_text` opens a UTF-8 text input and turns an unreadable or non-UTF-8
+file into a `DataError`; every text input goes through it.  `atomic_write`
+writes through a temp file in the same directory and `os.replace`s it, so a
+failed write leaves any previous file intact, and turns every OSError into a
+`DataError`; every text output goes through it, tables through `write_tsv`.
 
 `write_artifact`/`read_artifact` are the binary container shared by all
 three binary formats (corpus cache, graph cache and checkpoint), each
@@ -40,6 +41,19 @@ def has_fields(value, fields: dict) -> bool:
     """`value` is a dict with exactly the keys of `fields`, each valid."""
     return type(value) is dict and value.keys() == fields.keys() and all(
         valid(value[key]) for key, valid in fields.items())
+
+
+@contextlib.contextmanager
+def read_text(path, what: str):
+    """Yield `path` opened as UTF-8 text.  A file that cannot be opened or
+    read, or that is not UTF-8, is a `DataError` naming `what`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except OSError as e:
+        raise DataError(f"cannot read {what}: {e}", path=path) from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{what} is not UTF-8 text: {e}", path=path) from e
 
 
 @contextlib.contextmanager

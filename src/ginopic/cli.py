@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifact import atomic_write, write_tsv
+from .artifact import atomic_write, read_text, write_tsv
 from .corpus import (
     PreprocessOptions,
     Vocabulary,
@@ -129,10 +129,8 @@ def _resolve(args, opts, section: str, config: configparser.ConfigParser | None)
 def _load_config(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with read_text(path, "config file") as fh:
             parser.read_file(fh)
-    except OSError as e:
-        raise DataError(f"cannot read config file: {e}", path=path) from e
     except configparser.Error as e:
         raise ConfigError(f"malformed config file {path}: {e}") from e
     return parser
@@ -245,7 +243,8 @@ def _cmd_preprocess(o) -> int:
     labels = load_labels(o.labels) if o.labels else None
     stopwords = None
     if o.stopwords:
-        stopwords = frozenset(w.strip() for w in load_texts(o.stopwords) if w.strip())
+        with read_text(o.stopwords, "stopword file") as fh:
+            stopwords = frozenset(w.strip() for w in fh if w.strip())
     options = PreprocessOptions(
         max_vocab=o.max_vocab,
         min_word_len=o.min_word_len,

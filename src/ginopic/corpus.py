@@ -11,10 +11,12 @@ unnormalized.  The pipeline fits idf on the training split and applies it
 unchanged to validation/test, so held-out documents never leak into the
 weighting; the smoothing keeps words unseen in training finite and positive.
 
-The on-disk cache (magic GINOCORP1, in the `artifact` container) stores the
-vocabulary, token ids, labels, and tf-idf of every document and reproduces
-them bit-for-bit on load; its content is purely input-derived, so rerunning
-preprocessing on identical inputs yields an identical file.
+The on-disk cache (magic GINOCORP2, in the `artifact` container) stores only
+what `Corpus.sha256` covers: the vocabulary, then the `<u4` lengths, `<u4`
+labels (0xFFFFFFFF: none) and `<i4` token ids of all documents in split
+order.  Load derives document frequencies and tf-idf with the step that
+`assemble_corpus` uses, bit for bit; the file is purely input-derived, so
+rerunning preprocessing on identical inputs yields an identical file.
 """
 from __future__ import annotations
 
@@ -25,13 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifact import is_count, is_int, is_number, read_artifact, write_artifact, write_tsv
+from .artifact import (is_count, is_int, is_number, read_artifact, read_text, write_artifact,
+                       write_tsv)
 from .errors import ConfigError, ContractError, DataError
 from .lemmatizer import lemmatize
 from .rng import stream
 
 _TOKEN_RE = re.compile(r"[a-z]+")
-_MAGIC = b"GINOCORP1\n"
+_MAGIC = b"GINOCORP2\n"
 _NO_LABEL = 0xFFFFFFFF
 
 
@@ -197,29 +200,55 @@ def preprocess(raw_documents, options: PreprocessOptions | None = None):
 
     documents = []
     kept_indices = []
-    df = np.zeros(len(words), dtype=np.int64)
     for pos, tokens in enumerate(tokenized):
         ids = [word_to_id[t] for t in tokens if t in word_to_id]
         if len(ids) < options.min_doc_len:
             continue
-        doc = Document(token_ids=np.array(ids, dtype=np.int32))
-        df[np.unique(doc.token_ids)] += 1
-        documents.append(doc)
+        documents.append(Document(token_ids=np.array(ids, dtype=np.int32)))
         kept_indices.append(pos)
     if not documents:
         raise DataError("empty corpus: every document fell below min_doc_len")
 
+    df = document_frequency(documents, len(words))
     return Vocabulary(words=words, doc_frequency=df), documents, kept_indices
+
+
+def word_counts(documents, vocab_size: int):
+    """(rows, ids, counts): each document's sorted distinct word ids and
+    their counts, ordered by document row, from one `np.unique` over
+    row * vocab_size + id.  A token id outside [0, vocab_size) is a
+    ContractError: its key would alias into a neighbouring document."""
+    tokens = np.concatenate([np.empty(0, np.int64)] + [d.token_ids for d in documents])
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
+        raise ContractError(f"token id outside the {vocab_size}-word vocabulary")
+    rows = np.repeat(np.arange(len(documents)), [d.token_ids.size for d in documents])
+    keys, counts = np.unique(rows * vocab_size + tokens, return_counts=True)
+    rows, ids = np.divmod(keys, vocab_size)
+    return rows, ids, counts
+
+
+def document_frequency(documents, vocab_size: int) -> np.ndarray:
+    """How many of `documents` contain each word id (int64)."""
+    return np.bincount(word_counts(documents, vocab_size)[1], minlength=vocab_size)
+
+
+def _idf(df, n: int) -> np.ndarray:
+    return np.log((1.0 + n) / (1.0 + df)) + 1.0
 
 
 def idf_vector(documents, vocab_size: int):
     """Smoothed idf fit on `documents`: ln((1+N)/(1+df)) + 1.  Returns (idf, N)."""
-    df = np.zeros(vocab_size, dtype=np.int64)
-    for doc in documents:
-        df[np.unique(doc.token_ids)] += 1
     n = len(documents)
-    idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
-    return idf, n
+    return _idf(document_frequency(documents, vocab_size), n), n
+
+
+def _set_tfidf(documents, rows, ids, counts, idf) -> None:
+    """Give each document its (word id, count * idf) entries from `word_counts`."""
+    starts = np.searchsorted(rows, np.arange(len(documents) + 1)).tolist()
+    values = counts.astype(np.float64) * idf[ids]
+    ids = ids.astype(np.int32)
+    for doc, a, b in zip(documents, starts, starts[1:]):
+        doc.tfidf_ids, doc.tfidf_values = ids[a:b], values[a:b]
 
 
 def compute_tfidf(documents, vocabulary: Vocabulary, idf) -> np.ndarray:
@@ -230,11 +259,20 @@ def compute_tfidf(documents, vocabulary: Vocabulary, idf) -> np.ndarray:
         raise ContractError(
             f"idf length {idf.shape} does not match vocabulary size {len(vocabulary)}"
         )
-    for doc in documents:
-        ids, cnt = np.unique(doc.token_ids, return_counts=True)
-        doc.tfidf_ids = ids.astype(np.int32)
-        doc.tfidf_values = cnt.astype(np.float64) * idf[ids]
+    _set_tfidf(documents, *word_counts(documents, len(vocabulary)), idf)
     return idf
+
+
+def _weigh(split, vocab_size: int) -> np.ndarray:
+    """Fill every document's tf-idf with idf fit on the training split and
+    return the document frequencies over the whole corpus, all from one
+    `word_counts` pass."""
+    documents = split.all_documents()
+    rows, ids, counts = word_counts(documents, vocab_size)
+    n_train = len(split.train)
+    train_df = np.bincount(ids[rows < n_train], minlength=vocab_size)
+    _set_tfidf(documents, rows, ids, counts, _idf(train_df, n_train))
+    return np.bincount(ids, minlength=vocab_size)
 
 
 def split_corpus(documents, ratios=(0.70, 0.15, 0.15), seed: int = 0) -> CorpusSplit:
@@ -296,8 +334,9 @@ def assemble_corpus(
     options: dict | None = None,
 ) -> Corpus:
     """Split already-tokenized documents, weight them with idf fit on the
-    training split, and wrap them in a Corpus.  `build_corpus` ends here;
-    synthetic pipelines call it directly.
+    training split, count the vocabulary's document frequencies over them,
+    and wrap them in a Corpus.  `build_corpus` ends here; synthetic
+    pipelines call it directly.
 
     Documents must carry integer labels already if label_names is given.
     """
@@ -305,9 +344,7 @@ def assemble_corpus(
         raise DataError("empty corpus: no documents to assemble")
     split = split_corpus(documents, ratios=ratios, seed=seed)
     split.label_names = list(label_names) if label_names is not None else None
-    idf, _ = idf_vector(split.train, len(vocabulary))
-    for part in (split.train, split.validation, split.test):
-        compute_tfidf(part, vocabulary, idf=idf)
+    vocabulary.doc_frequency = _weigh(split, len(vocabulary))
     return Corpus(
         vocabulary=vocabulary,
         split=split,
@@ -333,47 +370,18 @@ def tfidf_dense(documents, vocab_size: int, dtype=np.float32) -> np.ndarray:
 
 def load_texts(path) -> list:
     """UTF-8 text file, one document per line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return [line.rstrip("\n") for line in fh]
-    except OSError as e:
-        raise DataError(f"cannot read corpus file: {e}", path=path) from e
+    with read_text(path, "corpus file") as fh:
+        return [line.rstrip("\n") for line in fh]
 
 
 def load_labels(path) -> list:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return [line.strip() for line in fh]
-    except OSError as e:
-        raise DataError(f"cannot read label file: {e}", path=path) from e
+    with read_text(path, "label file") as fh:
+        return [line.strip() for line in fh]
 
 
 def save_vocabulary(vocabulary: Vocabulary, path) -> None:
     """One word per line; the line number (from 0) is the word id."""
     write_tsv(path, ([word] for word in vocabulary.words), "vocabulary")
-
-
-def _doc_bytes(doc: Document) -> bytes:
-    ids = doc.token_ids.astype("<i4")
-    label = _NO_LABEL if doc.label is None else doc.label
-    parts = [struct.pack("<I", ids.size), ids.tobytes()]
-    if doc.tfidf_ids is None:
-        parts.append(struct.pack("<II", label, 0))
-    else:
-        parts += [struct.pack("<II", label, doc.tfidf_ids.size),
-                  doc.tfidf_ids.astype("<i4").tobytes(), doc.tfidf_values.astype("<f8").tobytes()]
-    return b"".join(parts)
-
-
-def _read_doc(read) -> Document:
-    (n_tokens,) = struct.unpack("<I", read(4))
-    ids = np.frombuffer(read(4 * n_tokens), dtype="<i4").astype(np.int32)
-    label, nnz = struct.unpack("<II", read(8))
-    doc = Document(token_ids=ids, label=None if label == _NO_LABEL else int(label))
-    if nnz:
-        doc.tfidf_ids = np.frombuffer(read(4 * nnz), dtype="<i4").astype(np.int32)
-        doc.tfidf_values = np.frombuffer(read(8 * nnz), dtype="<f8").astype(np.float64)
-    return doc
 
 
 _HEADER_FIELDS = {
@@ -402,12 +410,16 @@ def save_corpus(corpus: Corpus, path) -> None:
         "seed": corpus.seed,
         "ratios": list(corpus.ratios),
     }
+    docs = corpus.split.all_documents()
     with write_artifact(path, _MAGIC, header, "corpus cache") as fh:
         vocab_block = "\n".join(corpus.vocabulary.words).encode("utf-8")
         fh.write(struct.pack("<Q", len(vocab_block)))
         fh.write(vocab_block)
-        fh.write(corpus.vocabulary.doc_frequency.astype("<i8").tobytes())
-        fh.write(b"".join(map(_doc_bytes, corpus.split.all_documents())))
+        fh.write(np.array([len(d) for d in docs], dtype="<u4").tobytes())
+        fh.write(np.array([_NO_LABEL if d.label is None else d.label for d in docs],
+                          dtype="<u4").tobytes())
+        fh.write(np.concatenate([np.empty(0, "<i4")] + [d.token_ids for d in docs])
+                 .astype("<i4").tobytes())
 
 
 def load_corpus(path) -> Corpus:
@@ -420,30 +432,27 @@ def load_corpus(path) -> Corpus:
         v = header["v"]
         if len(words) != v:
             raise DataError("corpus cache vocabulary length mismatch", path=path)
-        df = np.frombuffer(read(8 * v), dtype="<i8").astype(np.int64)
-        try:
-            vocabulary = Vocabulary(words=words, doc_frequency=df)
-        except ContractError as e:
-            raise DataError(f"corpus cache holds an invalid vocabulary: {e}", path=path) from e
-        parts = [[_read_doc(read) for _ in range(header[key])]
-                 for key in ("n_train", "n_validation", "n_test")]
-    docs = [d for part in parts for d in part]
-    ids = np.concatenate([np.empty(0, np.int32)] + [d.token_ids for d in docs]
-                         + [d.tfidf_ids for d in docs if d.tfidf_ids is not None])
-    if ids.size and (ids.min() < 0 or ids.max() >= v):
-        raise DataError(f"corpus cache holds a word id outside its {v}-word vocabulary",
-                        path=path)
+        sizes = [header[key] for key in ("n_train", "n_validation", "n_test")]
+        n_docs = sum(sizes)
+        lengths = np.frombuffer(read(4 * n_docs), dtype="<u4")
+        labels = np.frombuffer(read(4 * n_docs), dtype="<u4")
+        tokens = np.frombuffer(read(4 * int(lengths.sum(dtype=np.uint64))), dtype="<i4")
     names = header["label_names"]
     n_labels = len(names or ())
-    if any(d.label is not None and d.label >= n_labels for d in docs):
+    if np.any((labels >= n_labels) & (labels != _NO_LABEL)):
         raise DataError(f"corpus cache holds a label outside its {n_labels} label names",
                         path=path)
-    split = CorpusSplit(
-        train=parts[0],
-        validation=parts[1],
-        test=parts[2],
-        label_names=names,
-    )
+    ends = np.cumsum(lengths).tolist()
+    tokens = tokens.astype(np.int32)
+    docs = [Document(token_ids=tokens[a:b], label=None if label == _NO_LABEL else label)
+            for a, b, label in zip([0] + ends, ends, labels.tolist())]
+    a, b = sizes[0], sizes[0] + sizes[1]
+    split = CorpusSplit(docs[:a], docs[a:b], docs[b:], label_names=names)
+    try:
+        vocabulary = Vocabulary(words=words, doc_frequency=_weigh(split, v))
+    except ContractError as e:
+        raise DataError(f"corpus cache holds an invalid vocabulary or token: {e}",
+                        path=path) from e
     return Corpus(
         vocabulary=vocabulary,
         split=split,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifact import read_text
 from .corpus import Vocabulary
 from .errors import DataError
 from .rng import stream
@@ -77,14 +78,16 @@ def _oov_fill(word: str, dim: int, seed: int) -> np.ndarray:
     return gen.uniform(-0.1, 0.1, size=dim).astype(np.float32)
 
 
-def _parse_text(path, vocabulary: Vocabulary):
+def load_embeddings(path, vocabulary: Vocabulary, seed: int = 0) -> EmbeddingMatrix:
+    """Load text embeddings and align them to `vocabulary`.
+
+    Raises DataError if the file is malformed or shares no words with the
+    vocabulary at all (a wrong-file guard; pure OOV fill would train on
+    noise).
+    """
     found: dict = {}
     dim = None
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read embedding file: {e}", path=path) from e
-    with fh:
+    with read_text(path, "embedding file") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
@@ -105,20 +108,6 @@ def _parse_text(path, vocabulary: Vocabulary):
                 found[word] = np.array([float(x) for x in values], dtype=np.float32)
             except ValueError as e:
                 raise DataError(f"line {lineno}: malformed float", path=path) from e
-    return found, dim
-
-
-def load_embeddings(path, vocabulary: Vocabulary, seed: int = 0) -> EmbeddingMatrix:
-    """Load text embeddings and align them to `vocabulary`.
-
-    Raises DataError if the file is malformed or shares no words with the
-    vocabulary at all (a wrong-file guard; pure OOV fill would train on
-    noise).
-    """
-    try:
-        found, dim = _parse_text(path, vocabulary)
-    except UnicodeDecodeError as e:
-        raise DataError(f"embedding file is not UTF-8 text: {e}", path=path) from e
     if not found:
         raise DataError("embedding file shares no words with the vocabulary", path=path)
     vectors = np.empty((len(vocabulary), dim), dtype=np.float32)

@@ -12,20 +12,17 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 
+from .artifact import read_text
+
 _VOWELS = set("aeiou")
 
 
 @lru_cache(maxsize=1)
 def _exceptions() -> dict:
-    table = {}
-    text = resources.files("ginopic").joinpath("data/lemma_exceptions.txt").read_text("utf-8")
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        form, lemma = line.split()
-        table[form] = lemma
-    return table
+    with read_text(resources.files("ginopic").joinpath("data/lemma_exceptions.txt"),
+                   "lemma exceptions") as fh:
+        rows = [line.split() for line in fh if line.strip() and not line.lstrip().startswith("#")]
+    return {form: lemma for form, lemma in rows}
 
 
 def _dedouble(stem: str) -> str:

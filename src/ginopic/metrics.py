@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .artifact import atomic_write, write_tsv
+from .artifact import atomic_write, read_text, write_tsv
 from .embedding import EmbeddingMatrix, cosine_similarity
 from .errors import ConfigError, ContractError, DataError
 
@@ -290,11 +290,8 @@ def save_topics(topics, path) -> None:
 
 
 def load_topics(path) -> list:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            topics = [line.split() for line in fh if line.strip()]
-    except OSError as e:
-        raise DataError(f"cannot read topics: {e}", path=path) from e
+    with read_text(path, "topics file") as fh:
+        topics = [line.split() for line in fh if line.strip()]
     if not topics:
         raise DataError("topics file is empty", path=path)
     return topics

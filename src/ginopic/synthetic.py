@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import Corpus, Document, Vocabulary, assemble_corpus
+from .corpus import Corpus, Document, Vocabulary, assemble_corpus, document_frequency
 from .embedding import EmbeddingMatrix
 from .errors import ConfigError
 from .lemmatizer import lemmatize
@@ -73,10 +73,7 @@ def block_topic_corpus(seed: int = 0, n_docs: int = 1000, n_topics: int = 3,
         offset = rng.integers(0, words_per_topic, size=length)
         ids = topic_per_token * words_per_topic + offset
         docs.append(Document(token_ids=ids.astype(np.int32), label=int(np.argmax(theta))))
-    df = np.zeros(v, dtype=np.int64)
-    for doc in docs:
-        df[np.unique(doc.token_ids)] += 1
-    vocab = Vocabulary(words=words, doc_frequency=df)
+    vocab = Vocabulary(words=words, doc_frequency=document_frequency(docs, v))
     label_names = [f"topic{t}" for t in range(n_topics)]
     return assemble_corpus(vocab, docs, seed=seed, label_names=label_names,
                            options={"source": "synthetic/block", "alpha": alpha})
@@ -84,22 +81,15 @@ def block_topic_corpus(seed: int = 0, n_docs: int = 1000, n_topics: int = 3,
 
 def block_embeddings(vocabulary: Vocabulary, n_topics: int, words_per_topic: int,
                      within: float = 0.9) -> EmbeddingMatrix:
-    """Block-structured vectors: cos = `within` inside a block, 0 across blocks."""
-    if not 0.0 <= within <= 1.0:
-        raise ConfigError(f"within-block similarity must lie in [0, 1], got {within}")
+    """Block-structured vectors: cos = `within` inside a block, 0 across blocks;
+    `desk_embeddings` with word id t*words_per_topic + i in class t."""
     v = len(vocabulary)
     if v != n_topics * words_per_topic:
         raise ConfigError(
             f"vocabulary size {v} != n_topics * words_per_topic = {n_topics * words_per_topic}"
         )
-    dim = n_topics + v
-    vectors = np.zeros((v, dim), dtype=np.float32)
-    for wid in range(v):
-        block = wid // words_per_topic
-        vectors[wid, block] = np.sqrt(within)
-        vectors[wid, n_topics + wid] = np.sqrt(1.0 - within)
-    return EmbeddingMatrix(vectors=vectors, oov_mask=np.zeros(v, dtype=bool),
-                           vocabulary=vocabulary)
+    blocks = {word: wid // words_per_topic for wid, word in enumerate(vocabulary.words)}
+    return desk_embeddings(vocabulary, blocks, n_topics, within)
 
 
 def probe_documents(n_topics: int, words_per_topic: int, n_per_topic: int = 20,

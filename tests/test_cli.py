@@ -134,6 +134,16 @@ class TestPreprocess:
         assert rc == 0
         assert parse_table(out)["vocabulary"] == ["8"]
 
+    def test_stopwords_file(self, pipeline, capsys, tmp_path):
+        stop = tmp_path / "stop.txt"
+        stop.write_text("apple\n\n banana \n")
+        rc, out, _ = run(capsys, ["preprocess", "--input", str(pipeline.root / "raw.txt"),
+                                  "--stopwords", str(stop), "--out", str(tmp_path / "s.bin")])
+        assert rc == 0
+        assert parse_table(out)["vocabulary"] == ["14"]
+        vocabulary = load_corpus(tmp_path / "s.bin").vocabulary
+        assert "apple" not in vocabulary and "banana" not in vocabulary
+
     def test_missing_required_option(self, capsys, tmp_path):
         rc, _, err = run(capsys, ["preprocess", "--out", str(tmp_path / "x.bin")])
         assert rc == 2
@@ -559,6 +569,33 @@ class TestExport:
                                 "--corpus", pipeline.corpus, "--what", "nonsense",
                                 "--out", str(tmp_path / "x")])
         assert rc == 2
+
+
+class TestTextInputs:
+    @pytest.mark.parametrize("option", ["--input", "--labels", "--stopwords", "--topics-file",
+                                        "--config", "--embeddings"])
+    def test_non_utf8_file_exit_code(self, pipeline, tmp_path, capsys, option):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("caf\u00e9 apple banana\n".encode("latin-1"))
+        raw, out = str(pipeline.root / "raw.txt"), str(tmp_path / "out.bin")
+        args = {
+            "--input": ["preprocess", "--input", str(bad), "--out", out],
+            "--labels": ["preprocess", "--input", raw, "--labels", str(bad), "--out", out],
+            "--stopwords": ["preprocess", "--input", raw, "--stopwords", str(bad),
+                            "--out", out],
+            "--topics-file": ["eval-topics", "--topics-file", str(bad)],
+            "--config": ["preprocess", "--config", str(bad), "--input", raw, "--out", out],
+            "--embeddings": ["build-graphs", "--corpus", pipeline.corpus,
+                             "--embeddings", str(bad), "--delta", "0.5", "--out", out],
+        }[option]
+        rc, _, err = run(capsys, args)
+        assert rc == 3
+        assert_one_line_error(err)
+        assert "not UTF-8" in err
+        assert {"--input": "corpus file", "--labels": "label file",
+                "--stopwords": "stopword file", "--topics-file": "topics file",
+                "--config": "config file", "--embeddings": "embedding file"}[option] in err
+        assert not os.path.exists(out)
 
 
 class TestEntryPoint:

@@ -11,6 +11,7 @@ from ginopic.corpus import (
     Document,
     PreprocessOptions,
     Vocabulary,
+    assemble_corpus,
     build_corpus,
     compute_tfidf,
     idf_vector,
@@ -20,9 +21,11 @@ from ginopic.corpus import (
     split_corpus,
     tfidf_dense,
     tokenize,
+    word_counts,
 )
 from ginopic.errors import ConfigError, ContractError, DataError
 from ginopic.lemmatizer import lemmatize
+from ginopic.rng import stream
 
 from conftest import make_document, make_vocabulary, rewrite_header
 
@@ -151,6 +154,77 @@ class TestTfidf:
     def test_tfidf_dense_requires_weights(self):
         with pytest.raises(ContractError):
             tfidf_dense([make_document([0])], 1)
+
+    @pytest.mark.parametrize("token", [-1, 3], ids=["negative", "vocabulary_size"])
+    def test_token_id_outside_vocabulary_is_contract_error(self, token):
+        """-1 would wrap to the last word and 3 would alias into the next
+        document's key; both are refused before any weight is computed."""
+        docs = [make_document([0, token]), make_document([1, 2])]
+        with pytest.raises(ContractError, match="outside"):
+            word_counts(docs, 3)
+        with pytest.raises(ContractError, match="outside"):
+            compute_tfidf(docs, make_vocabulary(["aa", "bb", "cc"]), idf=np.ones(3))
+        assert docs[0].tfidf_ids is None
+
+
+def loop_compute_tfidf(split, vocab_size: int):
+    """Per-document reference for the corpus weights: (entries, idf, df) with
+    entries[r] = (ids, values) of document r in split order, idf fit on the
+    training split and df counted over every document."""
+    train_df = np.zeros(vocab_size, dtype=np.int64)
+    for doc in split.train:
+        train_df[np.unique(doc.token_ids)] += 1
+    n = len(split.train)
+    idf = np.log((1.0 + n) / (1.0 + train_df)) + 1.0
+    df = np.zeros(vocab_size, dtype=np.int64)
+    entries = []
+    for doc in split.all_documents():
+        ids, cnt = np.unique(doc.token_ids, return_counts=True)
+        df[ids] += 1
+        entries.append((ids.astype(np.int32), cnt.astype(np.float64) * idf[ids]))
+    return entries, idf, df
+
+
+def _assert_bitwise(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_random_docs = [stream(5, "test/tfidf").integers(0, 7, size=n).tolist()
+                for n in (1, 4, 9, 2, 7, 3, 12, 5, 6, 1, 8, 3, 2)]
+
+# name -> (token ids per document, vocabulary size, split ratios)
+WEIGHT_CASES = {
+    # word 0 is in every document; word i+1 only in document i, so the
+    # words of the held-out documents are absent from train
+    "word_in_every_document_and_words_absent_from_train": (
+        [[0, i + 1, 0] for i in range(10)], 11, (0.70, 0.15, 0.15)),
+    "empty_validation_and_test": ([[0, 1], [1, 1, 2], [2, 0]], 3, (1.0, 0.0, 0.0)),
+    "empty_test": ([[i % 4, 3] for i in range(10)], 4, (0.8, 0.2, 0.0)),
+    "one_token_documents": ([[i % 3] for i in range(12)], 3, (0.70, 0.15, 0.15)),
+    "one_word_vocabulary": ([[0] * k for k in range(1, 8)], 1, (0.70, 0.15, 0.15)),
+    "random": (_random_docs, 7, (0.6, 0.2, 0.2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WEIGHT_CASES))
+def test_corpus_weights_equal_per_document_loop(case, tmp_path):
+    """tf-idf, idf and document frequencies from the one `word_counts` pass
+    equal the per-document loop bit for bit, when built and after a save
+    and load."""
+    token_docs, v, ratios = WEIGHT_CASES[case]
+    docs = [make_document(ids) for ids in token_docs]
+    words = [f"w{i}" for i in range(v)]
+    corpus = assemble_corpus(make_vocabulary(words), docs, ratios=ratios, seed=3)
+    entries, idf, df = loop_compute_tfidf(corpus.split, v)
+    if case.endswith("absent_from_train"):
+        assert (idf == np.log(1.0 + len(corpus.split.train)) + 1.0).sum() == 2
+    _assert_bitwise(idf_vector(corpus.split.train, v)[0], idf)
+    save_corpus(corpus, tmp_path / "corpus.bin")
+    for built in (corpus, load_corpus(tmp_path / "corpus.bin")):
+        _assert_bitwise(built.vocabulary.doc_frequency, df)
+        for doc, (ids, values) in zip(built.split.all_documents(), entries, strict=True):
+            _assert_bitwise(doc.tfidf_ids, ids)
+            _assert_bitwise(doc.tfidf_values, values)
 
 
 class TestSplit:
@@ -357,10 +431,8 @@ class TestCorpusCache:
         with pytest.raises(DataError):
             load_corpus(path)
 
-    @pytest.mark.parametrize("where,value", [("token_ids", 9999), ("token_ids", -1),
-                                             ("tfidf_ids", 8)],
-                             ids=["token_past_vocabulary", "token_negative",
-                                  "tfidf_past_vocabulary"])
+    @pytest.mark.parametrize("where,value", [("token_ids", 9999), ("token_ids", -1)],
+                             ids=["token_past_vocabulary", "token_negative"])
     def test_word_id_outside_vocabulary_is_data_error(self, tmp_path, where, value):
         corpus = self._corpus()
         assert len(corpus.vocabulary) == 8
@@ -393,9 +465,8 @@ class TestCorpusCache:
         corpus = self._corpus()
         save_corpus(corpus, path)
         before = path.read_bytes()
-        doc = corpus.split.train[0]
-        doc.tfidf_values = np.array(["x"] * doc.tfidf_ids.size, dtype=object)
-        with pytest.raises(ValueError):
+        corpus.split.train[0].label = 2 ** 32  # does not fit the <u4 label array
+        with pytest.raises(OverflowError):
             save_corpus(corpus, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.bin"]

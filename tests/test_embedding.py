@@ -12,7 +12,8 @@ from ginopic.embedding import (
     cosine_weights,
     load_embeddings,
 )
-from ginopic.errors import DataError
+from ginopic.errors import ConfigError, DataError
+from ginopic.synthetic import block_embeddings
 
 from conftest import make_embeddings, make_vocabulary
 
@@ -106,6 +107,27 @@ class TestEmbeddingMatrix:
             EmbeddingMatrix(
                 vectors=np.zeros((3, 2)), oov_mask=np.zeros(3, dtype=bool), vocabulary=vocab,
             )
+
+
+def loop_block_vectors(n_topics, words_per_topic, within):
+    """Reference for `block_embeddings`: each word's block and own component
+    set one word at a time."""
+    v = n_topics * words_per_topic
+    vectors = np.zeros((v, n_topics + v), dtype=np.float32)
+    for wid in range(v):
+        vectors[wid, wid // words_per_topic] = np.sqrt(within)
+        vectors[wid, n_topics + wid] = np.sqrt(1.0 - within)
+    return vectors
+
+
+@pytest.mark.parametrize("n_topics,words_per_topic", [(2, 1), (2, 5), (4, 3)])
+def test_block_embeddings_equal_block_loop(n_topics, words_per_topic):
+    vocab = make_vocabulary([f"w{i}" for i in range(n_topics * words_per_topic)])
+    for within in (0.0, 0.5, 0.6, 0.9, 1.0):
+        got = block_embeddings(vocab, n_topics, words_per_topic, within).vectors
+        assert got.tobytes() == loop_block_vectors(n_topics, words_per_topic, within).tobytes()
+    with pytest.raises(ConfigError):
+        block_embeddings(vocab, n_topics + 1, words_per_topic)
 
 
 def scalar_weights(rows):
