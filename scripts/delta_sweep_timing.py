@@ -46,7 +46,7 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         store = build_all_graphs(corpus, embeddings, delta)
         build_s = time.perf_counter() - t0
-        edges = sum(g.n_edges for g in store.graphs)
+        edges = int(store.graphs.edge_ptr[-1])
 
         config = TrainConfig(topics=2, gin=GinConfig(tau=8, hidden=8, tau_out=8),
                              encoder_hidden=16, epochs=args.epochs, batch_size=32,

@@ -108,11 +108,6 @@ class Document:
         return int(self.token_ids.size)
 
     @property
-    def counts(self) -> dict:
-        ids, cnt = np.unique(self.token_ids, return_counts=True)
-        return {int(i): int(c) for i, c in zip(ids, cnt)}
-
-    @property
     def distinct_ids(self) -> np.ndarray:
         """Distinct token ids in first-occurrence order (graph node order)."""
         _, first = np.unique(self.token_ids, return_index=True)
@@ -162,11 +157,18 @@ class Corpus:
         save_corpus(self, path)
 
 
-def tokenize(text: str, options: PreprocessOptions) -> list:
-    """Lowercase, extract letter runs, lemmatize, filter stopwords and short words."""
+def tokenize(text: str, options: PreprocessOptions, lemmas: dict | None = None) -> list:
+    """Lowercase, extract letter runs, lemmatize, filter stopwords and short words.
+
+    `lemmas` maps each form already lemmatized to its lemma and gains the
+    new forms of `text`, so a caller tokenizing many texts lemmatizes each
+    distinct form once.
+    """
     tokens = _TOKEN_RE.findall(text.lower())
     if options.lemmatize:
-        tokens = [lemmatize(t) for t in tokens]
+        lemmas = {} if lemmas is None else lemmas
+        lemmas.update((t, lemmatize(t)) for t in set(tokens).difference(lemmas))
+        tokens = [lemmas[t] for t in tokens]
     if options.stopwords:
         tokens = [t for t in tokens if t not in options.stopwords]
     return [t for t in tokens if len(t) >= options.min_word_len]
@@ -186,7 +188,8 @@ def preprocess(raw_documents, options: PreprocessOptions | None = None):
     if not raw_documents:
         raise DataError("empty corpus: no input documents")
 
-    tokenized = [tokenize(text, options) for text in raw_documents]
+    lemmas: dict = {}
+    tokenized = [tokenize(text, options, lemmas) for text in raw_documents]
     freq: dict = {}
     for tokens in tokenized:
         for t in tokens:

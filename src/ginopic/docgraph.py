@@ -13,13 +13,20 @@ of the two words, taken in one block per document from `cosine_weights` (or
 its precomputed `SimilarityCache` table), the exact batched form of that
 scalar.  Graph construction is a pure function of (document, embeddings,
 delta): identical inputs give byte-identical caches.
+
+A store holds all of its graphs in one `GraphColumns`: the concatenated node
+ids and edge arrays of every graph plus CSR-style pointers into them.  Build,
+cache save and load, and minibatch assembly (`gin.batch_adjacency`) work on
+these arrays whole.  Indexing the columns with an int, or iterating them,
+gives the per-graph `DocumentGraph` value with plain Python tuples; a slice
+or an index array gives another `GraphColumns`.
 """
 from __future__ import annotations
 
 import logging
 import os
-import struct
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -31,8 +38,6 @@ from .errors import ConfigError, ContractError, DataError
 log = logging.getLogger(__name__)
 
 _MAGIC = b"GINOGRAPH1\n"
-# One stored edge: node-local (i, j) and the float32 weight, as struct "<IIf".
-_EDGE = np.dtype([("i", "<u4"), ("j", "<u4"), ("w", "<f4")])
 
 # SimilarityCache is quadratic in V; above this size each document computes its own block.
 _SIM_CACHE_MAX_V = 3000
@@ -64,11 +69,94 @@ class DocumentGraph:
         return a
 
 
+def _ptr(counts) -> np.ndarray:
+    """int64 offsets [0, c0, c0 + c1, ...] of consecutive runs of `counts`."""
+    return np.concatenate(([0], np.cumsum(np.asarray(counts, dtype=np.int64))))
+
+
+def _cat(arrays, dtype) -> np.ndarray:
+    """The arrays end to end as one `dtype` array (empty for no arrays)."""
+    return np.concatenate([np.zeros(0, dtype), *arrays]).astype(dtype, copy=False)
+
+
+@dataclass(frozen=True, eq=False)
+class GraphColumns:
+    """Graphs as arrays.  Graph k has the nodes
+    `node_ids[node_ptr[k]:node_ptr[k+1]]` and the edges
+    `(src, dst, weight)[edge_ptr[k]:edge_ptr[k+1]]`, node-local with
+    src < dst.  Node ids, src and dst are `<u4`, as in the cache; weights are
+    float64; both pointer arrays are int64 and start at 0."""
+
+    node_ptr: np.ndarray
+    node_ids: np.ndarray
+    edge_ptr: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+    delta: float
+
+    @classmethod
+    def pack(cls, graphs) -> "GraphColumns":
+        """The columns of a list of `DocumentGraph`s, with the first one's delta."""
+        node_ptr = _ptr([g.n_nodes for g in graphs])
+        edge_ptr = _ptr([g.n_edges for g in graphs])
+        node_ids = np.fromiter(chain.from_iterable(g.node_ids for g in graphs),
+                               dtype="<u4", count=int(node_ptr[-1]))
+        edges = np.fromiter(chain.from_iterable(g.adjacency for g in graphs),
+                            dtype=[("i", "<u4"), ("j", "<u4"), ("w", np.float64)],
+                            count=int(edge_ptr[-1]))
+        return cls(node_ptr, node_ids, edge_ptr, edges["i"].copy(), edges["j"].copy(),
+                   edges["w"].copy(), graphs[0].delta if graphs else 0.0)
+
+    def __len__(self) -> int:
+        return self.node_ptr.size - 1
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            k = range(len(self))[key]
+            a, b = self.node_ptr[k: k + 2]
+            e, f = self.edge_ptr[k: k + 2]
+            return DocumentGraph(
+                node_ids=tuple(self.node_ids[a:b].tolist()),
+                adjacency=tuple(zip(self.src[e:f].tolist(), self.dst[e:f].tolist(),
+                                    self.weight[e:f].tolist())),
+                delta=self.delta,
+            )
+        idx = np.arange(len(self))[key]
+        node_ptr, node_at = _take(self.node_ptr, idx)
+        edge_ptr, edge_at = _take(self.edge_ptr, idx)
+        return GraphColumns(node_ptr, self.node_ids[node_at], edge_ptr, self.src[edge_at],
+                            self.dst[edge_at], self.weight[edge_at], self.delta)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+def _take(ptr, idx):
+    """(pointers, flat positions) of the runs of `ptr` at graph positions `idx`."""
+    counts = ptr[idx + 1] - ptr[idx]
+    out = _ptr(counts)
+    return out, np.arange(out[-1]) + np.repeat(ptr[idx] - out[:-1], counts)
+
+
 def validate_delta(delta: float) -> float:
     delta = float(delta)
     if not 0.0 <= delta <= 1.0:
         raise ConfigError(f"delta must lie in [0, 1], got {delta}")
     return delta
+
+
+def _kept_pairs(node_ids, embeddings: EmbeddingMatrix, delta: float,
+                sim_cache: SimilarityCache | None):
+    """(i, j, weight) arrays of the node pairs i < j whose similarity is >= delta."""
+    if sim_cache is not None:
+        block = sim_cache.table[np.ix_(node_ids, node_ids)]
+    else:
+        block = cosine_weights(embeddings.vectors[node_ids])
+    # np.float64: a Python float would compare in float32 and keep
+    # weights float32(delta) < delta
+    i, j = np.nonzero(np.triu(block >= np.float64(delta), 1))
+    return i, j, block[i, j]
 
 
 def build_document_graph(
@@ -80,16 +168,10 @@ def build_document_graph(
     """Threshold all word pairs of one document at delta."""
     delta = validate_delta(delta)
     node_ids = document.distinct_ids
-    if sim_cache is not None:
-        block = sim_cache.table[np.ix_(node_ids, node_ids)]
-    else:
-        block = cosine_weights(embeddings.vectors[node_ids])
-    # np.float64: a Python float would compare in float32 and keep
-    # weights float32(delta) < delta
-    i, j = np.nonzero(np.triu(block >= np.float64(delta), 1))
+    i, j, w = _kept_pairs(node_ids, embeddings, delta, sim_cache)
     return DocumentGraph(
         node_ids=tuple(node_ids.tolist()),
-        adjacency=tuple(zip(i.tolist(), j.tolist(), block[i, j].tolist())),
+        adjacency=tuple(zip(i.tolist(), j.tolist(), w.tolist())),
         delta=delta,
     )
 
@@ -101,20 +183,20 @@ class GraphStore:
     delta: float
     corpus_sha256: str
     embedding_sha256: str
-    graphs: list
+    graphs: GraphColumns
     split_sizes: tuple  # (n_train, n_validation, n_test)
 
     def __len__(self) -> int:
         return len(self.graphs)
 
-    def train_graphs(self) -> list:
+    def train_graphs(self) -> GraphColumns:
         return self.graphs[: self.split_sizes[0]]
 
-    def validation_graphs(self) -> list:
+    def validation_graphs(self) -> GraphColumns:
         a = self.split_sizes[0]
         return self.graphs[a: a + self.split_sizes[1]]
 
-    def test_graphs(self) -> list:
+    def test_graphs(self) -> GraphColumns:
         a = self.split_sizes[0] + self.split_sizes[1]
         return self.graphs[a:]
 
@@ -154,8 +236,22 @@ def build_all_graphs(
     sim_cache = None
     if len(corpus.vocabulary) <= _SIM_CACHE_MAX_V:
         sim_cache = SimilarityCache(embeddings)
-    graphs = [build_document_graph(doc, embeddings, delta, sim_cache)
-              for doc in corpus.split.all_documents()]
+    nodes, src, dst, weight = [], [], [], []
+    for doc in corpus.split.all_documents():
+        nodes.append(doc.distinct_ids)
+        i, j, w = _kept_pairs(nodes[-1], embeddings, delta, sim_cache)
+        src.append(i)
+        dst.append(j)
+        weight.append(w)
+    graphs = GraphColumns(
+        node_ptr=_ptr([n.size for n in nodes]),
+        node_ids=_cat(nodes, "<u4"),
+        edge_ptr=_ptr([w.size for w in weight]),
+        src=_cat(src, "<u4"),
+        dst=_cat(dst, "<u4"),
+        weight=_cat(weight, np.float64),
+        delta=delta,
+    )
     store = GraphStore(
         delta=delta,
         corpus_sha256=corpus_hash,
@@ -184,10 +280,10 @@ class DensityReport:
 
 def graph_density_report(store: GraphStore) -> DensityReport:
     """Per-document edge density (edges over possible pairs) plus corpus means."""
-    if not store.graphs:
+    if not len(store.graphs):
         raise ContractError("graph store is empty")
-    nodes = np.array([g.n_nodes for g in store.graphs], dtype=np.float64)
-    edges = np.array([g.n_edges for g in store.graphs], dtype=np.float64)
+    nodes = np.diff(store.graphs.node_ptr).astype(np.float64)
+    edges = np.diff(store.graphs.edge_ptr).astype(np.float64)
     possible = nodes * (nodes - 1) / 2.0
     densities = np.where(possible > 0, edges / np.maximum(possible, 1.0), 0.0)
     return DensityReport(
@@ -201,6 +297,10 @@ def graph_density_report(store: GraphStore) -> DensityReport:
 # ---------------------------------------------------------------------------
 # Cache format
 # ---------------------------------------------------------------------------
+#
+# The payload is little-endian 32-bit words, per graph in store order:
+# n_nodes, its n_nodes vocabulary ids, n_edges, then one (i, j, weight)
+# record of three words per edge, the weight a float32.
 
 _HEADER_FIELDS = {
     "delta": lambda v: is_number(v) and 0.0 <= v <= 1.0,
@@ -211,22 +311,39 @@ _HEADER_FIELDS = {
 }
 
 
+def _word_positions(start, node_ptr, edge_ptr):
+    """Payload word positions of every node id and of every edge record's
+    first word, given each graph's first word `start`."""
+    n_nodes, n_edges = np.diff(node_ptr), np.diff(edge_ptr)
+    nodes = np.arange(node_ptr[-1]) + np.repeat(start + 1 - node_ptr[:-1], n_nodes)
+    edges = 3 * np.arange(edge_ptr[-1]) + np.repeat(
+        start + 2 + n_nodes - 3 * edge_ptr[:-1], n_edges)
+    return nodes, edges
+
+
 def save_graph_store(store: GraphStore, path) -> None:
     """Write the cache atomically (see `artifact.write_artifact`)."""
+    g = store.graphs
     header = {
         "version": 1,
         "delta": store.delta,
         "corpus_sha256": store.corpus_sha256,
         "embedding_sha256": store.embedding_sha256,
         "split_sizes": list(store.split_sizes),
-        "n_graphs": len(store.graphs),
+        "n_graphs": len(g),
     }
     with write_artifact(path, _MAGIC, header, "graph cache") as fh:
-        for g in store.graphs:
-            fh.write(struct.pack("<I", g.n_nodes))
-            fh.write(np.asarray(g.node_ids, dtype="<u4").tobytes())
-            fh.write(struct.pack("<I", g.n_edges))
-            fh.write(np.array(list(g.adjacency), dtype=_EDGE).tobytes())
+        n_nodes = np.diff(g.node_ptr)
+        start = 2 * np.arange(len(g)) + g.node_ptr[:-1] + 3 * g.edge_ptr[:-1]
+        node_at, edge_at = _word_positions(start, g.node_ptr, g.edge_ptr)
+        words = np.empty(2 * len(g) + int(g.node_ptr[-1]) + 3 * int(g.edge_ptr[-1]), "<u4")
+        words[start] = n_nodes
+        words[node_at] = g.node_ids
+        words[start + 1 + n_nodes] = np.diff(g.edge_ptr)
+        words[edge_at] = g.src
+        words[edge_at + 1] = g.dst
+        words[edge_at + 2] = g.weight.astype("<f4").view("<u4")
+        fh.write(memoryview(words).cast("B"))
 
 
 def load_graph_store(path) -> GraphStore:
@@ -234,24 +351,34 @@ def load_graph_store(path) -> GraphStore:
         if sum(header["split_sizes"]) != header["n_graphs"]:
             raise DataError(f"graph cache split sizes {header['split_sizes']} do not add up "
                             f"to {header['n_graphs']} graphs", path=path)
-        graphs = []
+        payload = read()
+    words = np.frombuffer(payload, dtype="<u4", count=len(payload) // 4)
+    # one walk over the graphs' counts; every graph takes at least two words,
+    # so the lists stay within the file's size whatever the counts claim
+    start, n_nodes, n_edges = [], [], []
+    at = 0
+    try:
         for _ in range(header["n_graphs"]):
-            (n_nodes,) = struct.unpack("<I", read(4))
-            ids = np.frombuffer(read(4 * n_nodes), dtype="<u4")
-            (n_edges,) = struct.unpack("<I", read(4))
-            edges = np.frombuffer(read(_EDGE.itemsize * n_edges), dtype=_EDGE)
-            # checked per graph: holding every graph's edge buffer for one
-            # check at the end would add their bytes to the loader's peak
-            if n_edges and not ((edges["i"] < edges["j"]).all() and edges["j"].max() < n_nodes):
-                raise DataError("graph cache edge is not (i, j) with i < j < its graph's nodes",
-                                path=path)
-            graphs.append(
-                DocumentGraph(
-                    node_ids=tuple(ids.tolist()),
-                    adjacency=tuple(edges.tolist()),
-                    delta=header["delta"],
-                )
-            )
+            n = int(words[at])
+            m = int(words[at + 1 + n])
+            start.append(at)
+            n_nodes.append(n)
+            n_edges.append(m)
+            at += 2 + n + 3 * m
+    except IndexError:
+        raise DataError("truncated graph cache", path=path) from None
+    if at > words.size:
+        raise DataError("truncated graph cache", path=path)
+    if at < words.size or len(payload) % 4:
+        raise DataError("trailing bytes after graph cache payload", path=path)
+    node_ptr, edge_ptr = _ptr(n_nodes), _ptr(n_edges)
+    node_at, edge_at = _word_positions(np.array(start, dtype=np.int64), node_ptr, edge_ptr)
+    src, dst = words[edge_at], words[edge_at + 1]
+    if not ((src < dst).all() and (dst < np.repeat(n_nodes, n_edges)).all()):
+        raise DataError("graph cache edge is not (i, j) with i < j < its graph's nodes",
+                        path=path)
+    graphs = GraphColumns(node_ptr, words[node_at], edge_ptr, src, dst,
+                          words[edge_at + 2].view("<f4").astype(np.float64), header["delta"])
     return GraphStore(
         delta=header["delta"],
         corpus_sha256=header["corpus_sha256"],

@@ -165,9 +165,8 @@ def export_theta(model, corpus, graphs, path) -> None:
     from .topicmodel import infer_theta  # local import to avoid a cycle
 
     docs = corpus.split.all_documents()
-    all_graphs = list(graphs.graphs)
-    if len(docs) != len(all_graphs):
-        raise ContractError(f"{len(docs)} documents but {len(all_graphs)} graphs")
-    theta = infer_theta(model, docs, all_graphs)
+    if len(docs) != len(graphs):
+        raise ContractError(f"{len(docs)} documents but {len(graphs)} graphs")
+    theta = infer_theta(model, docs, graphs.graphs)
     write_tsv(path, ((i, -1 if doc.label is None else int(doc.label), *(f"{v:.9g}" for v in row))
                      for i, (doc, row) in enumerate(zip(docs, theta))), "theta export")

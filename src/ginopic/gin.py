@@ -21,18 +21,14 @@ word always starts from the same feature row.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import tensor as T
-from .docgraph import DocumentGraph
+from .docgraph import DocumentGraph, GraphColumns
 from .errors import ConfigError, ContractError
 from .nn import BatchNorm1d, Mlp
 from .rng import RngStreams
-
-# One (i, j, weight) adjacency tuple of a DocumentGraph.
-_EDGE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
 
 @dataclass
@@ -61,26 +57,26 @@ class GinConfig:
 
 
 def batch_adjacency(graphs, epsilon: float, dtype=None):
-    """Block-diagonal (1+eps)I + A over a list of graphs.
+    """Block-diagonal (1+eps)I + A over a minibatch of graphs.
 
-    Returns (matrix, node_ids, segments): the sparse aggregation operator,
-    the concatenated vocabulary ids of every node, and each node's graph
-    index for the readout.
+    `graphs` is a `GraphColumns` or a list of `DocumentGraph`s, which is
+    packed into one.  Returns (matrix, node_ids, segments): the sparse
+    aggregation operator, the concatenated vocabulary ids of every node, and
+    each node's graph index for the readout.
     """
-    if not graphs:
+    if not len(graphs):
         raise ContractError("batch_adjacency: empty graph list")
-    n_nodes = np.fromiter((g.n_nodes for g in graphs), dtype=np.int64, count=len(graphs))
-    n_edges = np.fromiter((g.n_edges for g in graphs), dtype=np.int64, count=len(graphs))
-    edges = np.fromiter(chain.from_iterable(g.adjacency for g in graphs),
-                        dtype=_EDGE, count=int(n_edges.sum()))
-    offsets = np.repeat(np.cumsum(n_nodes) - n_nodes, n_edges)
-    i, j = edges["i"] + offsets, edges["j"] + offsets
-    total = int(n_nodes.sum())
+    if not isinstance(graphs, GraphColumns):
+        graphs = GraphColumns.pack(graphs)
+    n_nodes = np.diff(graphs.node_ptr)
+    offsets = np.repeat(graphs.node_ptr[:-1], np.diff(graphs.edge_ptr))
+    i, j = graphs.src + offsets, graphs.dst + offsets
+    total = int(graphs.node_ptr[-1])
     diag = np.arange(total)
     rows = np.concatenate([diag, i, j])
     cols = np.concatenate([diag, j, i])
-    vals = np.concatenate([np.full(total, 1.0 + epsilon), edges["w"], edges["w"]])
-    ids = np.fromiter(chain.from_iterable(g.node_ids for g in graphs), dtype=np.int64, count=total)
+    vals = np.concatenate([np.full(total, 1.0 + epsilon), graphs.weight, graphs.weight])
+    ids = graphs.node_ids.astype(np.int64)
     segments = np.repeat(np.arange(len(graphs)), n_nodes)
     matrix = T.SparseMatrix.from_coo(rows, cols, vals, shape=(total, total), dtype=dtype)
     return matrix, ids, segments

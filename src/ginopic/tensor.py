@@ -478,6 +478,19 @@ def concat_cols(tensors) -> Tensor:
     return _result("concat_cols", out, tuple(tensors), bw)
 
 
+def _bucket_matrix(buckets, n_buckets: int, dtype) -> sp.csr_matrix:
+    """(n_buckets x len(buckets)) CSR of ones, one at (buckets[k], k).
+
+    Its product with x sums row k of x into row buckets[k], adding into a
+    zero row in ascending k, which is the order of `np.add.at`, so the sums
+    equal it bit for bit, signed zeros included.
+    """
+    order = np.argsort(buckets, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(buckets, minlength=n_buckets))))
+    return sp.csr_matrix((np.ones(buckets.size, dtype), order, indptr),
+                         shape=(n_buckets, buckets.size))
+
+
 def gather_rows(table: Tensor, indices) -> Tensor:
     """Select rows of a 2-D table; backward scatter-adds into the table."""
     idx = np.asarray(indices, dtype=np.int64)
@@ -492,9 +505,7 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     out = table.data[idx]
 
     def bw(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        return (gt,)
+        return (np.asarray(_bucket_matrix(idx, table.shape[0], g.dtype) @ g),)
 
     return _result("gather_rows", out, (table,), bw)
 
@@ -508,8 +519,7 @@ def segment_sum(x: Tensor, segment_ids, num_segments: int) -> Tensor:
         )
     if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
         raise ContractError(f"segment_sum: segment id out of range [0, {num_segments})")
-    out = np.zeros((num_segments, x.shape[1]), dtype=x.dtype)
-    np.add.at(out, seg, x.data)
+    out = np.asarray(_bucket_matrix(seg, num_segments, x.dtype) @ x.data)
 
     def bw(g):
         return (g[seg],)

@@ -15,7 +15,7 @@ import pytest
 from ginopic import cli, corpus as corpus_module, topicmodel
 from ginopic.cli import main
 from ginopic.corpus import load_corpus
-from ginopic.docgraph import load_graph_store, save_graph_store
+from ginopic.docgraph import GraphColumns, load_graph_store, save_graph_store
 from ginopic.rng import stream
 
 from conftest import rewrite_header
@@ -359,9 +359,10 @@ class TestTrain:
     def test_inconsistent_graph_cache_exit_code(self, pipeline, tmp_path, capsys, fault):
         store = load_graph_store(pipeline.graphs)
         if fault == "edge_outside_graph":
-            g = store.graphs[0]
-            store.graphs[0] = dataclasses.replace(
-                g, adjacency=g.adjacency + ((0, g.n_nodes + 5, 0.9),))
+            graphs = list(store.graphs)
+            g = graphs[0]
+            graphs[0] = dataclasses.replace(g, adjacency=g.adjacency + ((0, g.n_nodes + 5, 0.9),))
+            store.graphs = GraphColumns.pack(graphs)
         else:
             store.split_sizes = (store.split_sizes[0] + 1,) + store.split_sizes[1:]
         bad = tmp_path / "bad.bin"

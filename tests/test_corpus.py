@@ -489,10 +489,6 @@ class TestDocument:
         doc = make_document([4, 2, 4, 7, 2])
         assert doc.distinct_ids.tolist() == [4, 2, 7]
 
-    def test_counts(self):
-        doc = make_document([1, 1, 3])
-        assert doc.counts == {1: 2, 3: 1}
-
     def test_vocabulary_rejects_duplicates(self):
         with pytest.raises(ContractError):
             Vocabulary(words=["aa", "aa"], doc_frequency=np.array([1, 1]))

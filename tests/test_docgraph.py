@@ -1,4 +1,5 @@
 """Document graph construction against a brute-force reference, plus the cache."""
+import dataclasses
 import json
 import math
 import struct
@@ -12,6 +13,7 @@ from ginopic import docgraph
 from ginopic.corpus import build_corpus
 from ginopic.docgraph import (
     DocumentGraph,
+    GraphColumns,
     GraphStore,
     build_all_graphs,
     build_document_graph,
@@ -23,7 +25,7 @@ from ginopic.docgraph import (
 from ginopic.embedding import SimilarityCache
 from ginopic.errors import ConfigError, ContractError, DataError
 
-from conftest import make_document, make_embeddings, make_vocabulary
+from conftest import load_under_limit, make_document, make_embeddings, make_vocabulary
 
 
 def brute_force_graph(document, embeddings, delta):
@@ -56,6 +58,16 @@ def random_embeddings(v, dim, seed):
     vocab = make_vocabulary([f"w{i:03d}" for i in range(v)])
     gen = np.random.default_rng(seed)
     return make_embeddings(vocab, gen.normal(size=(v, dim)))
+
+
+COLUMNS = ("node_ptr", "node_ids", "edge_ptr", "src", "dst", "weight")
+
+
+def assert_same_columns(a, b):
+    """Every array of two `GraphColumns` has the same dtype and bytes."""
+    for name in COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (name, x.dtype, x.tobytes()) == (name, y.dtype, y.tobytes())
 
 
 class TestBuildDocumentGraph:
@@ -211,7 +223,7 @@ class TestGraphStore:
         assert loaded.corpus_sha256 == store.corpus_sha256
         assert loaded.embedding_sha256 == store.embedding_sha256
         assert loaded.split_sizes == store.split_sizes
-        assert loaded.graphs == store.graphs
+        assert_same_columns(loaded.graphs, store.graphs)
 
     def test_cache_reused_when_key_matches(self, tmp_path):
         corpus, emb = self._setup()
@@ -220,7 +232,7 @@ class TestGraphStore:
         mtime = path.stat().st_mtime_ns
         again = build_all_graphs(corpus, emb, delta=0.3, cache_path=path)
         assert path.stat().st_mtime_ns == mtime  # untouched
-        assert again.graphs == store.graphs
+        assert_same_columns(again.graphs, store.graphs)
 
     def test_cache_rebuilt_on_delta_mismatch(self, tmp_path, caplog):
         corpus, emb = self._setup()
@@ -256,9 +268,9 @@ class TestGraphStore:
         path = tmp_path / "graphs.bin"
         save_graph_store(store, path)
         loaded = load_graph_store(path)
-        assert loaded.graphs == store.graphs
-        # both sides hold plain Python scalars, not numpy ones
-        for g in loaded.graphs + store.graphs:
+        assert list(loaded.graphs) == list(store.graphs)
+        # both sides give plain Python scalars, not numpy ones
+        for g in [*loaded.graphs, *store.graphs]:
             assert [tuple(map(type, e)) for e in g.adjacency] == [(int, int, float)] * g.n_edges
             assert all(type(x) is int for x in g.node_ids)
         again = tmp_path / "again.bin"
@@ -271,11 +283,13 @@ class TestGraphStore:
         path = tmp_path / "graphs.bin"
         save_graph_store(store, path)
         before = path.read_bytes()
-        # the last graph cannot be serialized, so the write fails after every
-        # other graph has gone out
-        broken = DocumentGraph(node_ids=(0, 1), adjacency=((0, 1, "x"),), delta=0.3)
+        # the last edge has no weight, so the write fails after the header
+        # has gone out
+        graphs = store.graphs
+        assert graphs.weight.size
+        broken = dataclasses.replace(graphs, weight=graphs.weight[:-1])
         bad = GraphStore(delta=0.5, corpus_sha256="x", embedding_sha256="y",
-                         graphs=store.graphs + [broken], split_sizes=store.split_sizes)
+                         graphs=broken, split_sizes=store.split_sizes)
         with pytest.raises(ValueError):
             save_graph_store(bad, path)
         assert path.read_bytes() == before
@@ -308,7 +322,7 @@ class TestGraphStore:
                             delta=0.3)
         path = tmp_path / "graphs.bin"
         save_graph_store(GraphStore(delta=0.3, corpus_sha256="x", embedding_sha256="y",
-                                    graphs=store.graphs[:-1] + [bad],
+                                    graphs=GraphColumns.pack([*store.graphs][:-1] + [bad]),
                                     split_sizes=store.split_sizes), path)
         with pytest.raises(DataError, match="i < j"):
             load_graph_store(path)
@@ -331,14 +345,14 @@ class TestGraphStore:
         with caplog.at_level("WARNING"):
             store = build_all_graphs(corpus, emb, delta=0.3, cache_path=path)
         assert "unreadable" in caplog.text
-        assert load_graph_store(path).graphs == store.graphs
+        assert_same_columns(load_graph_store(path).graphs, store.graphs)
 
     def test_density_report_hand_values(self):
         g3 = DocumentGraph(node_ids=(0, 1, 2),
                            adjacency=((0, 1, 0.5), (1, 2, 0.5)), delta=0.0)
         g1 = DocumentGraph(node_ids=(4,), adjacency=(), delta=0.0)
         store = GraphStore(delta=0.0, corpus_sha256="x", embedding_sha256="y",
-                           graphs=[g3, g1], split_sizes=(2, 0, 0))
+                           graphs=GraphColumns.pack([g3, g1]), split_sizes=(2, 0, 0))
         report = graph_density_report(store)
         assert report.mean_nodes == 2.0
         assert report.mean_edges == 1.0
@@ -347,7 +361,7 @@ class TestGraphStore:
 
     def test_density_report_empty_store(self):
         store = GraphStore(delta=0.0, corpus_sha256="x", embedding_sha256="y",
-                           graphs=[], split_sizes=(0, 0, 0))
+                           graphs=GraphColumns.pack([]), split_sizes=(0, 0, 0))
         with pytest.raises(ContractError):
             graph_density_report(store)
 
@@ -388,4 +402,137 @@ def test_well_formed_header_loads(tmp_path):
     path = tmp_path / "graphs.bin"
     write_with_header(path, _json())
     store = load_graph_store(path)
-    assert store.graphs == [] and store.delta == 0.3
+    assert len(store.graphs) == 0 and store.delta == 0.3
+
+
+# ---------------------------------------------------------------------------
+# The columnar store against per-graph references
+# ---------------------------------------------------------------------------
+
+def reference_cache_bytes(store):
+    """GINOGRAPH1 bytes as the per-graph writer produced them: per graph,
+    struct-packed n_nodes, its node ids, n_edges and one "<IIf" record per
+    edge, after the magic, header length and sorted compact JSON header."""
+    head = json.dumps({"version": 1, "delta": store.delta,
+                       "corpus_sha256": store.corpus_sha256,
+                       "embedding_sha256": store.embedding_sha256,
+                       "split_sizes": list(store.split_sizes), "n_graphs": len(store)},
+                      sort_keys=True, separators=(",", ":")).encode()
+    out = [docgraph._MAGIC, struct.pack("<Q", len(head)), head]
+    for g in store.graphs:
+        out.append(struct.pack("<I", g.n_nodes))
+        out.append(struct.pack(f"<{g.n_nodes}I", *g.node_ids))
+        out.append(struct.pack("<I", g.n_edges))
+        out.extend(struct.pack("<IIf", *edge) for edge in g.adjacency)
+    return b"".join(out)
+
+
+def random_store(seed):
+    """Graphs of 1-9 nodes, some edgeless, with float64 weights in [0, 1]
+    (not all float32-exact) and one empty split."""
+    gen = np.random.default_rng(seed)
+    graphs = []
+    for _ in range(int(gen.integers(1, 40))):
+        n = int(gen.integers(1, 10))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = gen.random(len(pairs)) < gen.choice([0.0, 0.3, 0.9])
+        adjacency = tuple((i, j, float(gen.random())) for (i, j), k in zip(pairs, keep) if k)
+        ids = tuple(gen.choice(2 ** 32 - 1 if seed % 2 else 50, size=n, replace=False).tolist())
+        graphs.append(DocumentGraph(node_ids=ids, adjacency=adjacency, delta=0.25))
+    cut = int(gen.integers(0, len(graphs) + 1))
+    sizes = [(cut, 0, len(graphs) - cut), (0, cut, len(graphs) - cut),
+             (cut, len(graphs) - cut, 0)][seed % 3]
+    return graphs, GraphStore(delta=0.25, corpus_sha256="c", embedding_sha256="e",
+                              graphs=GraphColumns.pack(graphs), split_sizes=sizes)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cache_bytes_equal_per_graph_writer(tmp_path, seed):
+    graphs, store = random_store(seed)
+    path = tmp_path / "graphs.bin"
+    save_graph_store(store, path)
+    assert path.read_bytes() == reference_cache_bytes(store)
+    loaded = load_graph_store(path)
+    assert [g.node_ids for g in loaded.graphs] == [g.node_ids for g in graphs]
+    assert [[e[:2] for e in g.adjacency] for g in loaded.graphs] == [
+        [e[:2] for e in g.adjacency] for g in graphs]
+
+
+def test_cache_bytes_cover_edgeless_and_one_node_graphs(tmp_path):
+    graphs = [DocumentGraph(node_ids=(7,), adjacency=(), delta=0.5),
+              DocumentGraph(node_ids=(3, 1, 2), adjacency=(), delta=0.5),
+              DocumentGraph(node_ids=(0, 4), adjacency=((0, 1, 0.75),), delta=0.5)]
+    store = GraphStore(delta=0.5, corpus_sha256="c", embedding_sha256="e",
+                       graphs=GraphColumns.pack(graphs), split_sizes=(2, 0, 1))
+    path = tmp_path / "graphs.bin"
+    save_graph_store(store, path)
+    assert path.read_bytes() == reference_cache_bytes(store)
+    assert list(load_graph_store(path).graphs) == graphs
+
+
+def test_load_of_save_of_build_round_trips(tmp_path):
+    texts = ["alpha bravo charlie delta", "bravo charlie", "delta", "echo foxtrot alpha",
+             "golf golf golf", "bravo echo golf alpha delta"] * 3
+    corpus = build_corpus(texts, seed=1)
+    emb = make_embeddings(corpus.vocabulary,
+                          np.random.default_rng(4).normal(size=(len(corpus.vocabulary), 5)))
+    store = build_all_graphs(corpus, emb, delta=0.1)
+    path = tmp_path / "graphs.bin"
+    save_graph_store(store, path)
+    loaded = load_graph_store(path)
+    assert_same_columns(loaded.graphs, store.graphs)
+    assert loaded.graphs.delta == store.graphs.delta == 0.1
+    want = [build_document_graph(d, emb, 0.1) for d in corpus.split.all_documents()]
+    assert list(store.graphs) == want
+    assert list(loaded.graphs) == want
+    assert list(store.test_graphs()) == want[sum(corpus.split.sizes[:2]):]
+
+
+def test_columns_index_slice_and_index_array():
+    graphs, store = random_store(3)
+    columns = store.graphs
+    assert len(columns) == len(graphs)
+    assert list(columns) == graphs
+    assert columns[-1] == graphs[-1] and columns[np.int64(0)] == graphs[0]
+    with pytest.raises(IndexError):
+        columns[len(graphs)]
+    for key in (slice(2, 9), slice(None, None, -2), slice(5, 2), [4, 0, 4, 1], np.array([2]),
+                np.arange(len(graphs)) % 2 == 0):
+        part = columns[key]
+        want = [graphs[k] for k in np.arange(len(graphs))[key]]
+        assert list(part) == want
+        assert part.node_ptr[0] == 0 and part.edge_ptr[0] == 0
+        assert_same_columns(part, GraphColumns.pack(want))
+
+
+def _cache_with_count(tmp_path, name, graph, field):
+    """A small cache whose `graph`th graph's n_nodes or n_edges word reads 2**32 - 1."""
+    _, store = random_store(0)
+    path = tmp_path / f"{name}.bin"
+    save_graph_store(store, path)
+    blob = bytearray(path.read_bytes())
+    g = store.graphs
+    at = len(blob) - 4 * (2 * len(g) + int(g.node_ptr[-1]) + 3 * int(g.edge_ptr[-1]))
+    at += 4 * (2 * graph + int(g.node_ptr[graph]) + 3 * int(g.edge_ptr[graph]))
+    if field == "n_edges":
+        at += 4 * (1 + int(g.node_ptr[graph + 1] - g.node_ptr[graph]))
+    blob[at: at + 4] = struct.pack("<I", 2 ** 32 - 1)
+    path.write_bytes(bytes(blob))
+    return path
+
+
+def test_huge_per_graph_count_is_data_error_under_memory_limit(tmp_path):
+    n_graphs = len(random_store(0)[1])
+    paths = [_cache_with_count(tmp_path, f"{field}{graph}", graph, field)
+             for field in ("n_nodes", "n_edges") for graph in (0, n_graphs - 1)]
+    assert load_under_limit("from ginopic.docgraph import load_graph_store as load",
+                            paths) == ["DataError"] * len(paths)
+
+
+def test_trailing_word_is_data_error(tmp_path):
+    _, store = random_store(1)
+    path = tmp_path / "graphs.bin"
+    save_graph_store(store, path)
+    path.write_bytes(path.read_bytes() + struct.pack("<I", 0))
+    with pytest.raises(DataError, match="trailing"):
+        load_graph_store(path)

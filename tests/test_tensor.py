@@ -189,6 +189,56 @@ class TestSoftplusSubnormalFlush:
         assert np.isnan(got[0]) and got[1] == np.inf and got[2] == -np.inf
 
 
+def awkward_rows(gen, shape, dtype):
+    """Rows mixing normals of every scale, +-0.0, subnormals and huge values,
+    so the order of a sum shows in its bits."""
+    x = gen.normal(size=shape) * 10.0 ** gen.integers(-8, 8, size=shape)
+    kinds = gen.integers(0, 6, size=shape)
+    tiny = np.finfo(dtype).tiny
+    x = np.where(kinds == 0, 0.0, np.where(kinds == 1, -0.0, x))
+    x = np.where(kinds == 2, gen.choice([-1, 1], size=shape) * tiny * gen.random(shape), x)
+    x = np.where(kinds == 3, gen.choice([-1, 1], size=shape) * np.finfo(dtype).max / 4, x)
+    return x.astype(dtype)
+
+
+def gather_rows_grad(table, idx, g):
+    """`gather_rows`'s recorded backward rule applied to the output grad `g`."""
+    with T.Tape() as tape:
+        T.gather_rows(T.Tensor(table, requires_grad=True, dtype=table.dtype), idx)
+        return tape.records[-1].backward_fn(g)[0]
+
+
+class TestScatterSumsMatchAddAt:
+    """`segment_sum` forward and `gather_rows` backward sum repeated rows in
+    the order of `np.add.at`, so their bytes equal it."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_segment_sum_forward(self, dtype, seed):
+        gen = np.random.default_rng(seed)
+        n, buckets = int(gen.integers(1, 200)), int(gen.integers(1, 12))
+        x = awkward_rows(gen, (n, 5), dtype)
+        seg = gen.integers(0, buckets, size=n)
+        want = np.zeros((buckets, 5), dtype=dtype)
+        with np.errstate(over="ignore"):
+            np.add.at(want, seg, x)
+        got = T.segment_sum(T.Tensor(x, dtype=dtype), seg, buckets).data
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gather_rows_backward(self, dtype, seed):
+        gen = np.random.default_rng(100 + seed)
+        v, n = int(gen.integers(1, 40)), int(gen.integers(0, 200))
+        idx = gen.integers(0, v, size=n)
+        g = awkward_rows(gen, (n, 4), dtype)
+        want = np.zeros((v, 4), dtype=dtype)
+        with np.errstate(over="ignore"):
+            np.add.at(want, idx, g)
+        got = gather_rows_grad(np.zeros((v, 4), dtype=dtype), idx, g)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestDtypeRules:
     def test_default_dtype_is_float32(self):
         assert T.Tensor([1.0]).dtype == np.float32
