@@ -175,11 +175,12 @@ def tokenize(text: str, options: PreprocessOptions, lemmas: dict | None = None) 
 
 
 def preprocess(raw_documents, options: PreprocessOptions | None = None):
-    """Tokenize a raw corpus and build its vocabulary.
+    """Tokenize a raw corpus and choose its vocabulary.
 
-    Returns (vocabulary, documents, kept_indices) where kept_indices maps each
-    surviving document back to its position in `raw_documents` so label files
-    stay aligned.  Vocabulary selection ranks words by total corpus frequency
+    Returns (words, documents, kept_indices): the vocabulary's words in id
+    order, the documents as token ids into them, and kept_indices, which maps
+    each surviving document back to its position in `raw_documents` so label
+    files stay aligned.  Vocabulary selection ranks words by total corpus frequency
     (descending), ties broken lexicographically, so every excluded word has
     frequency <= the minimum frequency among included words.
     """
@@ -212,8 +213,7 @@ def preprocess(raw_documents, options: PreprocessOptions | None = None):
     if not documents:
         raise DataError("empty corpus: every document fell below min_doc_len")
 
-    df = document_frequency(documents, len(words))
-    return Vocabulary(words=words, doc_frequency=df), documents, kept_indices
+    return words, documents, kept_indices
 
 
 def word_counts(documents, vocab_size: int):
@@ -315,7 +315,7 @@ def build_corpus(
         raise DataError(
             f"label count {len(labels)} does not match document count {len(raw_documents)}"
         )
-    vocabulary, documents, kept = preprocess(raw_documents, options)
+    words, documents, kept = preprocess(raw_documents, options)
 
     label_names = None
     if labels is not None:
@@ -325,11 +325,11 @@ def build_corpus(
         for doc, lab in zip(documents, kept_labels):
             doc.label = name_to_id[lab]
 
-    return assemble_corpus(vocabulary, documents, ratios, seed, label_names, options.to_dict())
+    return assemble_corpus(words, documents, ratios, seed, label_names, options.to_dict())
 
 
 def assemble_corpus(
-    vocabulary: Vocabulary,
+    words,
     documents,
     ratios=(0.70, 0.15, 0.15),
     seed: int = 0,
@@ -337,9 +337,9 @@ def assemble_corpus(
     options: dict | None = None,
 ) -> Corpus:
     """Split already-tokenized documents, weight them with idf fit on the
-    training split, count the vocabulary's document frequencies over them,
-    and wrap them in a Corpus.  `build_corpus` ends here; synthetic
-    pipelines call it directly.
+    training split, build the vocabulary of `words` with its document
+    frequencies over them, and wrap them in a Corpus.  `build_corpus` ends
+    here; synthetic pipelines call it directly.
 
     Documents must carry integer labels already if label_names is given.
     """
@@ -347,9 +347,8 @@ def assemble_corpus(
         raise DataError("empty corpus: no documents to assemble")
     split = split_corpus(documents, ratios=ratios, seed=seed)
     split.label_names = list(label_names) if label_names is not None else None
-    vocabulary.doc_frequency = _weigh(split, len(vocabulary))
     return Corpus(
-        vocabulary=vocabulary,
+        vocabulary=Vocabulary(words=list(words), doc_frequency=_weigh(split, len(words))),
         split=split,
         options=options or {"source": "assembled"},
         seed=int(seed),

@@ -17,9 +17,10 @@ delta): identical inputs give byte-identical caches.
 A store holds all of its graphs in one `GraphColumns`: the concatenated node
 ids and edge arrays of every graph plus CSR-style pointers into them.  Build,
 cache save and load, and minibatch assembly (`gin.batch_adjacency`) work on
-these arrays whole.  Indexing the columns with an int, or iterating them,
-gives the per-graph `DocumentGraph` value with plain Python tuples; a slice
-or an index array gives another `GraphColumns`.
+these arrays whole, and the cache (GINOGRAPH2) stores them as they are, each
+whole after every graph's node and edge counts.  Indexing the columns with an
+int, or iterating them, gives the per-graph `DocumentGraph` value with plain
+Python tuples; a slice or an index array gives another `GraphColumns`.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .errors import ConfigError, ContractError, DataError
 
 log = logging.getLogger(__name__)
 
-_MAGIC = b"GINOGRAPH1\n"
+_MAGIC = b"GINOGRAPH2\n"
 
 # SimilarityCache is quadratic in V; above this size each document computes its own block.
 _SIM_CACHE_MAX_V = 3000
@@ -298,9 +299,9 @@ def graph_density_report(store: GraphStore) -> DensityReport:
 # Cache format
 # ---------------------------------------------------------------------------
 #
-# The payload is little-endian 32-bit words, per graph in store order:
-# n_nodes, its n_nodes vocabulary ids, n_edges, then one (i, j, weight)
-# record of three words per edge, the weight a float32.
+# The payload is the columns of `GraphColumns`, each whole and little-endian:
+# every graph's n_nodes (<u4), then every graph's n_edges (<u4), then
+# node_ids, src and dst (<u4), then weight (<f4).
 
 _HEADER_FIELDS = {
     "delta": lambda v: is_number(v) and 0.0 <= v <= 1.0,
@@ -309,16 +310,6 @@ _HEADER_FIELDS = {
     "split_sizes": lambda v: type(v) is list and len(v) == 3 and all(map(is_count, v)),
     "n_graphs": is_count,
 }
-
-
-def _word_positions(start, node_ptr, edge_ptr):
-    """Payload word positions of every node id and of every edge record's
-    first word, given each graph's first word `start`."""
-    n_nodes, n_edges = np.diff(node_ptr), np.diff(edge_ptr)
-    nodes = np.arange(node_ptr[-1]) + np.repeat(start + 1 - node_ptr[:-1], n_nodes)
-    edges = 3 * np.arange(edge_ptr[-1]) + np.repeat(
-        start + 2 + n_nodes - 3 * edge_ptr[:-1], n_edges)
-    return nodes, edges
 
 
 def save_graph_store(store: GraphStore, path) -> None:
@@ -333,17 +324,9 @@ def save_graph_store(store: GraphStore, path) -> None:
         "n_graphs": len(g),
     }
     with write_artifact(path, _MAGIC, header, "graph cache") as fh:
-        n_nodes = np.diff(g.node_ptr)
-        start = 2 * np.arange(len(g)) + g.node_ptr[:-1] + 3 * g.edge_ptr[:-1]
-        node_at, edge_at = _word_positions(start, g.node_ptr, g.edge_ptr)
-        words = np.empty(2 * len(g) + int(g.node_ptr[-1]) + 3 * int(g.edge_ptr[-1]), "<u4")
-        words[start] = n_nodes
-        words[node_at] = g.node_ids
-        words[start + 1 + n_nodes] = np.diff(g.edge_ptr)
-        words[edge_at] = g.src
-        words[edge_at + 1] = g.dst
-        words[edge_at + 2] = g.weight.astype("<f4").view("<u4")
-        fh.write(memoryview(words).cast("B"))
+        for column in (np.diff(g.node_ptr), np.diff(g.edge_ptr), g.node_ids, g.src, g.dst):
+            fh.write(column.astype("<u4"))
+        fh.write(g.weight.astype("<f4"))
 
 
 def load_graph_store(path) -> GraphStore:
@@ -351,34 +334,15 @@ def load_graph_store(path) -> GraphStore:
         if sum(header["split_sizes"]) != header["n_graphs"]:
             raise DataError(f"graph cache split sizes {header['split_sizes']} do not add up "
                             f"to {header['n_graphs']} graphs", path=path)
-        payload = read()
-    words = np.frombuffer(payload, dtype="<u4", count=len(payload) // 4)
-    # one walk over the graphs' counts; every graph takes at least two words,
-    # so the lists stay within the file's size whatever the counts claim
-    start, n_nodes, n_edges = [], [], []
-    at = 0
-    try:
-        for _ in range(header["n_graphs"]):
-            n = int(words[at])
-            m = int(words[at + 1 + n])
-            start.append(at)
-            n_nodes.append(n)
-            n_edges.append(m)
-            at += 2 + n + 3 * m
-    except IndexError:
-        raise DataError("truncated graph cache", path=path) from None
-    if at > words.size:
-        raise DataError("truncated graph cache", path=path)
-    if at < words.size or len(payload) % 4:
-        raise DataError("trailing bytes after graph cache payload", path=path)
-    node_ptr, edge_ptr = _ptr(n_nodes), _ptr(n_edges)
-    node_at, edge_at = _word_positions(np.array(start, dtype=np.int64), node_ptr, edge_ptr)
-    src, dst = words[edge_at], words[edge_at + 1]
+        n_nodes, n_edges = np.frombuffer(read(8 * header["n_graphs"]), "<u4").reshape(2, -1)
+        node_ptr, edge_ptr = _ptr(n_nodes), _ptr(n_edges)
+        node_ids = np.frombuffer(read(4 * int(node_ptr[-1])), "<u4")
+        src, dst, weight = np.frombuffer(read(12 * int(edge_ptr[-1])), "<u4").reshape(3, -1)
     if not ((src < dst).all() and (dst < np.repeat(n_nodes, n_edges)).all()):
         raise DataError("graph cache edge is not (i, j) with i < j < its graph's nodes",
                         path=path)
-    graphs = GraphColumns(node_ptr, words[node_at], edge_ptr, src, dst,
-                          words[edge_at + 2].view("<f4").astype(np.float64), header["delta"])
+    graphs = GraphColumns(node_ptr, node_ids, edge_ptr, src, dst,
+                          weight.view("<f4").astype(np.float64), header["delta"])
     return GraphStore(
         delta=header["delta"],
         corpus_sha256=header["corpus_sha256"],

@@ -532,7 +532,6 @@ class SparseMatrix:
 
     def __init__(self, csr):
         self.mat = csr.tocsr()
-        self.matT = self.mat.T.tocsr()
 
     @classmethod
     def from_coo(cls, rows, cols, values, shape, dtype=None) -> "SparseMatrix":
@@ -557,7 +556,7 @@ def spmm(matrix: SparseMatrix, x: Tensor) -> Tensor:
     out = np.asarray(matrix.mat @ x.data)
 
     def bw(g):
-        return (np.asarray(matrix.matT @ g),)
+        return (np.asarray(matrix.mat.T @ g),)
 
     return _result("spmm", out, (x,), bw)
 
@@ -624,9 +623,7 @@ def batchnorm_1d(
         def bw(g):
             dgamma = (g * xhat).sum(axis=0)
             dbeta = g.sum(axis=0)
-            gx = (gamma.data / s) * (
-                g - g.mean(axis=0) - xhat * (g * xhat).mean(axis=0)
-            )
+            gx = (gamma.data / s) * (g - dbeta / n - xhat * (dgamma / n))
             return gx, dgamma, dbeta
 
         return _result("batchnorm_1d", out, (x, gamma, beta), bw)

@@ -36,7 +36,7 @@ def artifacts(tmp_path_factory):
                          encoder_hidden=2, epochs=1)
     writers = {
         "GINOCORP2": (lambda p: save_corpus(corpus, p), load_corpus),
-        "GINOGRAPH1": (lambda p: save_graph_store(build_all_graphs(corpus, embeddings, 0.0), p),
+        "GINOGRAPH2": (lambda p: save_graph_store(build_all_graphs(corpus, embeddings, 0.0), p),
                        load_graph_store),
         "GINOCKPT1": (lambda p: save_checkpoint(TopicModel(len(vocab), config), p),
                       load_checkpoint),
@@ -50,7 +50,7 @@ def artifacts(tmp_path_factory):
     return out
 
 
-FORMATS = ["GINOCORP2", "GINOGRAPH1", "GINOCKPT1"]
+FORMATS = ["GINOCORP2", "GINOGRAPH2", "GINOCKPT1"]
 
 
 def test_formats_are_every_magic_in_the_package():
@@ -100,7 +100,7 @@ HUGE_HEADER_EDITS = {
     "GINOCORP2": ("from ginopic.corpus import load_corpus as load", corpus_module._MAGIC,
                   {key: _huge(key) for key in ("v", "n_train", "n_validation", "n_test",
                                                "seed")}),
-    "GINOGRAPH1": ("from ginopic.docgraph import load_graph_store as load", docgraph._MAGIC,
+    "GINOGRAPH2": ("from ginopic.docgraph import load_graph_store as load", docgraph._MAGIC,
                    {"n_graphs": _huge("n_graphs"),
                     **{f"split_sizes{i}": _huge("split_sizes", i) for i in range(3)},
                     "n_graphs_and_split_sizes": lambda h: {**h, "n_graphs": HUGE,

@@ -37,7 +37,20 @@ def run(capsys, args):
 
 def write_bad_header_cache(path):
     head = b'{"version": 1, "delta": '
-    path.write_bytes(b"GINOGRAPH1\n" + struct.pack("<Q", len(head)) + head)
+    path.write_bytes(b"GINOGRAPH2\n" + struct.pack("<Q", len(head)) + head)
+
+
+def write_ginograph1_cache(path, graphs):
+    """The graph cache at `graphs` rewritten in the GINOGRAPH1 layout that
+    earlier versions wrote: the same header, then per graph n_nodes, its
+    node ids, n_edges and one "<IIf" record per edge."""
+    blob = open(graphs, "rb").read()
+    at = len(b"GINOGRAPH2\n")
+    head_end = at + 8 + struct.unpack("<Q", blob[at: at + 8])[0]
+    body = b"".join(struct.pack(f"<I{g.n_nodes}II", g.n_nodes, *g.node_ids, g.n_edges)
+                    + b"".join(struct.pack("<IIf", *edge) for edge in g.adjacency)
+                    for g in load_graph_store(graphs).graphs)
+    path.write_bytes(b"GINOGRAPH1\n" + blob[at:head_end] + body)
 
 
 def assert_one_line_error(err: str) -> None:
@@ -214,6 +227,25 @@ class TestBuildGraphs:
         assert rc == 0
         assert out.read_bytes() == open(pipeline.graphs, "rb").read()
         assert len(load_graph_store(out)) == 60
+
+    def test_ginograph1_cache_is_bad_magic_and_rebuilt(self, pipeline, tmp_path, capsys):
+        old = tmp_path / "old.bin"
+        write_ginograph1_cache(old, pipeline.graphs)
+        model = ["--model", pipeline.model, "--corpus", pipeline.corpus]
+        for args in (["train", "--corpus", pipeline.corpus, "--topics", "2", "--epochs", "1",
+                      "--out", str(tmp_path / "r")] + TRAIN_DIMS,
+                     ["classify", *model, "--runs", "1", "--out", str(tmp_path / "acc.tsv")],
+                     ["export", *model, "--what", "theta", "--out", str(tmp_path / "t.tsv")]):
+            rc, _, err = run(capsys, args + ["--graphs", str(old)])
+            assert rc == 3, args[0]
+            assert "bad magic" in err
+            assert_one_line_error(err)
+        rc, _, err = run(capsys, ["build-graphs", "--corpus", pipeline.corpus,
+                                  "--embeddings", pipeline.emb, "--delta", "0.5",
+                                  "--out", str(old)])
+        assert rc == 0
+        assert "graph cache unreadable, rebuilding" in err
+        assert old.read_bytes() == open(pipeline.graphs, "rb").read()
 
     def test_missing_corpus_file(self, pipeline, tmp_path, capsys):
         rc, _, _ = run(capsys, ["build-graphs", "--corpus", str(tmp_path / "no.bin"),

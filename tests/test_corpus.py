@@ -75,16 +75,16 @@ class TestTokenize:
 class TestPreprocess:
     def test_vocabulary_ranked_by_frequency_then_lexicographic(self):
         docs = ["bbb aaa bbb", "ccc aaa bbb", "ddd ccc"]
-        vocab, _, _ = preprocess(docs, PreprocessOptions(lemmatize=False, min_doc_len=1))
+        words, _, _ = preprocess(docs, PreprocessOptions(lemmatize=False, min_doc_len=1))
         # bbb:3 > aaa:2 = ccc:2 (tie -> aaa first) > ddd:1
-        assert vocab.words == ["bbb", "aaa", "ccc", "ddd"]
+        assert words == ["bbb", "aaa", "ccc", "ddd"]
 
     def test_max_vocab_keeps_most_frequent(self):
         docs = ["bbb aaa bbb bbb", "ccc aaa bbb"]
-        vocab, _, _ = preprocess(
+        words, _, _ = preprocess(
             docs, PreprocessOptions(max_vocab=2, lemmatize=False, min_doc_len=1)
         )
-        assert vocab.words == ["bbb", "aaa"]
+        assert words == ["bbb", "aaa"]
 
     def test_short_documents_dropped_and_indices_kept(self):
         docs = ["aaa bbb ccc ddd", "aaa", "bbb ccc ddd eee"]
@@ -102,7 +102,8 @@ class TestPreprocess:
 
     def test_doc_frequency_counts_documents_not_tokens(self):
         docs = ["aaa aaa aaa bbb", "aaa bbb ccc"]
-        vocab, _, _ = preprocess(docs, PreprocessOptions(lemmatize=False, min_doc_len=1))
+        options = PreprocessOptions(lemmatize=False, min_doc_len=1)
+        vocab = build_corpus(docs, options=options).vocabulary
         assert vocab.doc_frequency[vocab.id_of("aaa")] == 2
 
     def test_options_validation(self):
@@ -214,7 +215,7 @@ def test_corpus_weights_equal_per_document_loop(case, tmp_path):
     token_docs, v, ratios = WEIGHT_CASES[case]
     docs = [make_document(ids) for ids in token_docs]
     words = [f"w{i}" for i in range(v)]
-    corpus = assemble_corpus(make_vocabulary(words), docs, ratios=ratios, seed=3)
+    corpus = assemble_corpus(words, docs, ratios=ratios, seed=3)
     entries, idf, df = loop_compute_tfidf(corpus.split, v)
     if case.endswith("absent_from_train"):
         assert (idf == np.log(1.0 + len(corpus.split.train)) + 1.0).sum() == 2

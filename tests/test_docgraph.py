@@ -283,11 +283,11 @@ class TestGraphStore:
         path = tmp_path / "graphs.bin"
         save_graph_store(store, path)
         before = path.read_bytes()
-        # the last edge has no weight, so the write fails after the header
-        # has gone out
+        # the weights are words, so the write fails at the last column, after
+        # the header and the other columns have gone out
         graphs = store.graphs
         assert graphs.weight.size
-        broken = dataclasses.replace(graphs, weight=graphs.weight[:-1])
+        broken = dataclasses.replace(graphs, weight=np.full(graphs.weight.size, "heavy"))
         bad = GraphStore(delta=0.5, corpus_sha256="x", embedding_sha256="y",
                          graphs=broken, split_sizes=store.split_sizes)
         with pytest.raises(ValueError):
@@ -410,20 +410,24 @@ def test_well_formed_header_loads(tmp_path):
 # ---------------------------------------------------------------------------
 
 def reference_cache_bytes(store):
-    """GINOGRAPH1 bytes as the per-graph writer produced them: per graph,
-    struct-packed n_nodes, its node ids, n_edges and one "<IIf" record per
-    edge, after the magic, header length and sorted compact JSON header."""
+    """GINOGRAPH2 bytes struct-packed from the per-graph values: after the
+    magic, header length and sorted compact JSON header, every graph's
+    n_nodes, every graph's n_edges, every node id, then every edge's i, j
+    ("<I") and weight ("<f"), each in store order."""
     head = json.dumps({"version": 1, "delta": store.delta,
                        "corpus_sha256": store.corpus_sha256,
                        "embedding_sha256": store.embedding_sha256,
                        "split_sizes": list(store.split_sizes), "n_graphs": len(store)},
                       sort_keys=True, separators=(",", ":")).encode()
-    out = [docgraph._MAGIC, struct.pack("<Q", len(head)), head]
-    for g in store.graphs:
-        out.append(struct.pack("<I", g.n_nodes))
-        out.append(struct.pack(f"<{g.n_nodes}I", *g.node_ids))
-        out.append(struct.pack("<I", g.n_edges))
-        out.extend(struct.pack("<IIf", *edge) for edge in g.adjacency)
+    graphs = list(store.graphs)
+    ids = [i for g in graphs for i in g.node_ids]
+    edges = [e for g in graphs for e in g.adjacency]
+    out = [b"GINOGRAPH2\n", struct.pack("<Q", len(head)), head,
+           struct.pack(f"<{len(graphs)}I", *(g.n_nodes for g in graphs)),
+           struct.pack(f"<{len(graphs)}I", *(g.n_edges for g in graphs)),
+           struct.pack(f"<{len(ids)}I", *ids)]
+    out.extend(struct.pack(f"<{len(edges)}{code}", *(e[k] for e in edges))
+               for k, code in enumerate("IIf"))
     return b"".join(out)
 
 
@@ -513,9 +517,7 @@ def _cache_with_count(tmp_path, name, graph, field):
     blob = bytearray(path.read_bytes())
     g = store.graphs
     at = len(blob) - 4 * (2 * len(g) + int(g.node_ptr[-1]) + 3 * int(g.edge_ptr[-1]))
-    at += 4 * (2 * graph + int(g.node_ptr[graph]) + 3 * int(g.edge_ptr[graph]))
-    if field == "n_edges":
-        at += 4 * (1 + int(g.node_ptr[graph + 1] - g.node_ptr[graph]))
+    at += 4 * (graph + (len(g) if field == "n_edges" else 0))
     blob[at: at + 4] = struct.pack("<I", 2 ** 32 - 1)
     path.write_bytes(bytes(blob))
     return path

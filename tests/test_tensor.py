@@ -239,6 +239,49 @@ class TestScatterSumsMatchAddAt:
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def recorded_grads(op, g):
+    """The backward rule of the op that `op()` records, applied to `g`."""
+    with T.Tape() as tape:
+        op()
+        return tape.records[-1].backward_fn(g)
+
+
+class TestBackwardRulesMatchReferenceForms:
+    """Backward rules written with fewer array passes give the bytes of the
+    textbook forms they replace."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_batchnorm_backward_equals_mean_form(self, dtype, seed):
+        gen = np.random.default_rng(200 + seed)
+        n, d = int(gen.integers(2, 70)), int(gen.integers(1, 9))
+        x = (gen.normal(size=(n, d)) * 10.0 ** gen.integers(-3, 3, size=d)).astype(dtype)
+        gamma, g = gen.normal(size=d).astype(dtype), gen.normal(size=(n, d)).astype(dtype)
+        g[gen.random((n, d)) < 0.1] = -0.0
+        grads = recorded_grads(lambda: T.batchnorm_1d(
+            T.Tensor(x, requires_grad=True, dtype=dtype), T.Tensor(gamma, dtype=dtype),
+            T.Tensor(np.zeros(d), dtype=dtype), np.zeros(d, dtype), np.ones(d, dtype),
+            0.1, 1e-5, training=True), g)
+        s = np.sqrt(x.var(axis=0) + 1e-5)
+        xhat = (x - x.mean(axis=0)) / s
+        want = (gamma / s) * (g - g.mean(axis=0) - xhat * (g * xhat).mean(axis=0))
+        assert grads[0].dtype == want.dtype and grads[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_spmm_backward_equals_transposed_csr_product(self, dtype, seed):
+        gen = np.random.default_rng(300 + seed)
+        rows, cols, nnz = (int(k) for k in gen.integers(1, 30, size=3))
+        m = T.SparseMatrix.from_coo(gen.integers(0, rows, nnz), gen.integers(0, cols, nnz),
+                                    awkward_rows(gen, nnz, dtype), (rows, cols), dtype)
+        g = awkward_rows(gen, (rows, 3), dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = recorded_grads(lambda: T.spmm(m, T.Tensor(np.zeros((cols, 3)), dtype=dtype,
+                                                            requires_grad=True)), g)[0]
+            want = np.asarray(m.mat.T.tocsr() @ g)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestDtypeRules:
     def test_default_dtype_is_float32(self):
         assert T.Tensor([1.0]).dtype == np.float32
