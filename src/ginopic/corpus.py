@@ -216,15 +216,23 @@ def preprocess(raw_documents, options: PreprocessOptions | None = None):
     return words, documents, kept_indices
 
 
-def word_counts(documents, vocab_size: int):
-    """(rows, ids, counts): each document's sorted distinct word ids and
-    their counts, ordered by document row, from one `np.unique` over
-    row * vocab_size + id.  A token id outside [0, vocab_size) is a
-    ContractError: its key would alias into a neighbouring document."""
+def token_rows(documents, vocab_size: int):
+    """(tokens, rows): every token id of `documents` end to end (int64) and
+    its document's row.  A token id outside [0, vocab_size) is a
+    ContractError: its key row * vocab_size + id would alias into a
+    neighbouring document."""
     tokens = np.concatenate([np.empty(0, np.int64)] + [d.token_ids for d in documents])
     if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
         raise ContractError(f"token id outside the {vocab_size}-word vocabulary")
     rows = np.repeat(np.arange(len(documents)), [d.token_ids.size for d in documents])
+    return tokens, rows
+
+
+def word_counts(documents, vocab_size: int):
+    """(rows, ids, counts): each document's sorted distinct word ids and
+    their counts, ordered by document row, from one `np.unique` over
+    row * vocab_size + id (see `token_rows`)."""
+    tokens, rows = token_rows(documents, vocab_size)
     keys, counts = np.unique(rows * vocab_size + tokens, return_counts=True)
     rows, ids = np.divmod(keys, vocab_size)
     return rows, ids, counts

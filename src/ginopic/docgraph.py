@@ -9,10 +9,22 @@ stored; the (1+epsilon) self-contribution is added during aggregation.
 Similarities are quantized to float32 *before* the delta comparison so the
 float32 cache round-trips bit-for-bit and every stored weight still satisfies
 weight >= delta after reload.  Each weight is `np.float32(cosine_similarity)`
-of the two words, taken in one block per document from `cosine_weights` (or
-its precomputed `SimilarityCache` table), the exact batched form of that
-scalar.  Graph construction is a pure function of (document, embeddings,
+of the two words, read from a `cosine_weights` table (the exact batched form
+of that scalar) or the `SimilarityCache` that holds one for the whole
+vocabulary.  Graph construction is a pure function of (document, embeddings,
 delta): identical inputs give byte-identical caches.
+
+`build_all_graphs` builds every graph in one pass over whole-corpus arrays,
+with no per-document loop.  One `np.unique` over row * V + id, with the
+first positions sorted back into token order, gives every document's nodes
+in first-occurrence order.  Node k of a document of nodes s..e-1 pairs with
+nodes k+1..e-1, so the pairs of all nodes in turn are every document's
+pairs i < j in row-major order; `_PAIR_CHUNK` of them at a time are made by
+`np.repeat` arithmetic on their pointers, gathered from the table and
+thresholded.  A vocabulary larger than `_SIM_CACHE_MAX_V` has no shared
+table: runs of whole documents of at most `_RUN_NODES` nodes each get a
+table of their own words.  `build_document_graph` builds one graph on its
+own, by the same threshold rule (`_clears`).
 
 A store holds all of its graphs in one `GraphColumns`: the concatenated node
 ids and edge arrays of every graph plus CSR-style pointers into them.  Build,
@@ -32,7 +44,7 @@ from itertools import chain
 import numpy as np
 
 from .artifact import is_count, is_number, read_artifact, write_artifact
-from .corpus import Corpus, Document
+from .corpus import Corpus, Document, token_rows
 from .embedding import EmbeddingMatrix, SimilarityCache, cosine_weights
 from .errors import ConfigError, ContractError, DataError
 
@@ -40,8 +52,16 @@ log = logging.getLogger(__name__)
 
 _MAGIC = b"GINOGRAPH2\n"
 
-# SimilarityCache is quadratic in V; above this size each document computes its own block.
+# SimilarityCache is quadratic in V; above this size each run of whole
+# documents of at most _RUN_NODES nodes computes a table of its own words.
 _SIM_CACHE_MAX_V = 3000
+# A run's table costs its nodes squared plus a fixed overhead per call; at 128
+# (half a `cosine_weights` tile) builds of 5,000- and 20,000-word synthetic
+# corpora took no longer than one table per document.
+_RUN_NODES = 128
+# Pairs are gathered and thresholded this many at a time, so the build's
+# temporaries stay a few MB on any corpus.
+_PAIR_CHUNK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -147,17 +167,11 @@ def validate_delta(delta: float) -> float:
     return delta
 
 
-def _kept_pairs(node_ids, embeddings: EmbeddingMatrix, delta: float,
-                sim_cache: SimilarityCache | None):
-    """(i, j, weight) arrays of the node pairs i < j whose similarity is >= delta."""
-    if sim_cache is not None:
-        block = sim_cache.table[np.ix_(node_ids, node_ids)]
-    else:
-        block = cosine_weights(embeddings.vectors[node_ids])
+def _clears(weights, delta: float) -> np.ndarray:
+    """Mask of the float32 `weights` that are >= delta: the one threshold rule."""
     # np.float64: a Python float would compare in float32 and keep
     # weights float32(delta) < delta
-    i, j = np.nonzero(np.triu(block >= np.float64(delta), 1))
-    return i, j, block[i, j]
+    return weights >= np.float64(delta)
 
 
 def build_document_graph(
@@ -169,10 +183,14 @@ def build_document_graph(
     """Threshold all word pairs of one document at delta."""
     delta = validate_delta(delta)
     node_ids = document.distinct_ids
-    i, j, w = _kept_pairs(node_ids, embeddings, delta, sim_cache)
+    if sim_cache is not None:
+        block = sim_cache.table[np.ix_(node_ids, node_ids)]
+    else:
+        block = cosine_weights(embeddings.vectors[node_ids])
+    i, j = np.nonzero(np.triu(_clears(block, delta), 1))
     return DocumentGraph(
         node_ids=tuple(node_ids.tolist()),
-        adjacency=tuple(zip(i.tolist(), j.tolist(), w.tolist())),
+        adjacency=tuple(zip(i.tolist(), j.tolist(), block[i, j].tolist())),
         delta=delta,
     )
 
@@ -234,25 +252,8 @@ def build_all_graphs(
                 cache_path,
             )
 
-    sim_cache = None
-    if len(corpus.vocabulary) <= _SIM_CACHE_MAX_V:
-        sim_cache = SimilarityCache(embeddings)
-    nodes, src, dst, weight = [], [], [], []
-    for doc in corpus.split.all_documents():
-        nodes.append(doc.distinct_ids)
-        i, j, w = _kept_pairs(nodes[-1], embeddings, delta, sim_cache)
-        src.append(i)
-        dst.append(j)
-        weight.append(w)
-    graphs = GraphColumns(
-        node_ptr=_ptr([n.size for n in nodes]),
-        node_ids=_cat(nodes, "<u4"),
-        edge_ptr=_ptr([w.size for w in weight]),
-        src=_cat(src, "<u4"),
-        dst=_cat(dst, "<u4"),
-        weight=_cat(weight, np.float64),
-        delta=delta,
-    )
+    graphs = _build_columns(corpus.split.all_documents(), embeddings, delta,
+                            len(corpus.vocabulary))
     store = GraphStore(
         delta=delta,
         corpus_sha256=corpus_hash,
@@ -263,6 +264,72 @@ def build_all_graphs(
     if cache_path is not None:
         save_graph_store(store, cache_path)
     return store
+
+
+def _build_columns(documents, embeddings: EmbeddingMatrix, delta: float,
+                   vocab_size: int) -> GraphColumns:
+    """Every document's graph from whole-corpus arrays (see the module docstring)."""
+    # the shared table first, so its build's temporaries overlap no node arrays
+    shared = SimilarityCache(embeddings).table if vocab_size <= _SIM_CACHE_MAX_V else None
+    node_ids, node_doc = _nodes(documents, vocab_size)
+    node_ptr = _ptr(np.bincount(node_doc, minlength=len(documents)))
+    start = node_ptr[node_doc]                # each node's document's first node
+    # node k pairs with the later nodes of its document: pair_ptr[k + 1] - pair_ptr[k]
+    # of them, so the pairs of node k, then node k + 1, ... are row-major
+    pair_ptr = _ptr(node_ptr[node_doc + 1] - 1 - np.arange(node_ids.size))
+    src, dst, weight = [], [], []
+    n_edges = np.zeros(len(documents), np.int64)
+    for a, b, table, ids in _runs(node_ids, node_ptr, embeddings, shared):
+        for lo in range(pair_ptr[a], pair_ptr[b], _PAIR_CHUNK):
+            i, j = _pairs(pair_ptr, lo, min(lo + _PAIR_CHUNK, pair_ptr[b]))
+            w = table[ids[i - a], ids[j - a]]
+            keep = _clears(w, delta)
+            i, j = i[keep], j[keep]
+            src.append((i - start[i]).astype("<u4"))
+            dst.append((j - start[i]).astype("<u4"))
+            weight.append(w[keep])
+            np.add.at(n_edges, node_doc[i], 1)
+    return GraphColumns(node_ptr, node_ids.astype("<u4"), _ptr(n_edges), _cat(src, "<u4"),
+                        _cat(dst, "<u4"), _cat(weight, np.float64), delta)
+
+
+def _nodes(documents, vocab_size: int):
+    """(word id, document row) of every document's distinct words in
+    first-occurrence order, documents in turn."""
+    tokens, rows = token_rows(documents, vocab_size)
+    _, first = np.unique(rows * vocab_size + tokens, return_index=True)
+    first.sort()
+    return tokens[first], rows[first]
+
+
+def _runs(node_ids, node_ptr, embeddings: EmbeddingMatrix, shared):
+    """(a, b, table, ids) per run of whole documents, nodes a..b-1: node k's
+    word is row and column ids[k - a] of the float32 cosine table.  One run
+    over the `shared` whole-vocabulary table if there is one; else runs of
+    at most _RUN_NODES nodes (or one document), each with a table of its own
+    distinct words."""
+    if shared is not None:
+        yield 0, node_ids.size, shared, node_ids
+        return
+    a = 0
+    while a < node_ids.size:
+        b = node_ptr[np.searchsorted(node_ptr, a + _RUN_NODES, "right") - 1]
+        if b <= a:  # the run's first document alone has more nodes
+            b = node_ptr[np.searchsorted(node_ptr, a, "right")]
+        words, ids = np.unique(node_ids[a:b], return_inverse=True)
+        yield a, b, cosine_weights(embeddings.vectors[words]), ids
+        a = b
+
+
+def _pairs(pair_ptr, lo: int, hi: int):
+    """Node indices (i, j) of pairs lo..hi-1: pair p belongs to the node i
+    with pair_ptr[i] <= p < pair_ptr[i + 1], and j = i + 1 + p - pair_ptr[i]."""
+    first = np.searchsorted(pair_ptr, lo, "right") - 1
+    end = np.searchsorted(pair_ptr, hi)
+    counts = (np.minimum(pair_ptr[first + 1: end + 1], hi)
+              - np.maximum(pair_ptr[first:end], lo))
+    i = np.repeat(np.arange(first, end), counts)
+    return i, i + 1 + np.arange(lo, hi) - pair_ptr[i]
 
 
 @dataclass
@@ -337,12 +404,14 @@ def load_graph_store(path) -> GraphStore:
         n_nodes, n_edges = np.frombuffer(read(8 * header["n_graphs"]), "<u4").reshape(2, -1)
         node_ptr, edge_ptr = _ptr(n_nodes), _ptr(n_edges)
         node_ids = np.frombuffer(read(4 * int(node_ptr[-1])), "<u4")
-        src, dst, weight = np.frombuffer(read(12 * int(edge_ptr[-1])), "<u4").reshape(3, -1)
+        # src and dst apart from the weights, so the float32 bytes are not
+        # kept alive by views into one buffer
+        src, dst = np.frombuffer(read(8 * int(edge_ptr[-1])), "<u4").reshape(2, -1)
+        weight = np.frombuffer(read(4 * int(edge_ptr[-1])), "<f4").astype(np.float64)
     if not ((src < dst).all() and (dst < np.repeat(n_nodes, n_edges)).all()):
         raise DataError("graph cache edge is not (i, j) with i < j < its graph's nodes",
                         path=path)
-    graphs = GraphColumns(node_ptr, node_ids, edge_ptr, src, dst,
-                          weight.view("<f4").astype(np.float64), header["delta"])
+    graphs = GraphColumns(node_ptr, node_ids, edge_ptr, src, dst, weight, header["delta"])
     return GraphStore(
         delta=header["delta"],
         corpus_sha256=header["corpus_sha256"],

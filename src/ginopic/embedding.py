@@ -177,6 +177,3 @@ class SimilarityCache:
 
     def __init__(self, embeddings: EmbeddingMatrix):
         self.table = cosine_weights(embeddings.vectors)
-
-    def pair(self, i: int, j: int) -> float:
-        return float(self.table[i, j])

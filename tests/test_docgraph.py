@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ginopic import docgraph
-from ginopic.corpus import build_corpus
+from ginopic.corpus import Corpus, CorpusSplit, build_corpus
 from ginopic.docgraph import (
     DocumentGraph,
     GraphColumns,
@@ -538,3 +538,67 @@ def test_trailing_word_is_data_error(tmp_path):
     path.write_bytes(path.read_bytes() + struct.pack("<I", 0))
     with pytest.raises(DataError, match="trailing"):
         load_graph_store(path)
+
+
+def test_loaded_edges_hold_no_weight_bytes(tmp_path):
+    """The loaded src and dst share one buffer of 8 bytes per edge; the
+    float32 weights are read apart, so they are freed once widened."""
+    _, store = random_store(2)
+    path = tmp_path / "graphs.bin"
+    save_graph_store(store, path)
+    loaded = load_graph_store(path).graphs
+    n_edges = int(loaded.edge_ptr[-1])
+    assert n_edges
+    buffers = []
+    for column in (loaded.src, loaded.dst):
+        while isinstance(column, np.ndarray):
+            column = column.base
+        buffers.append(column)
+    assert buffers[0] is buffers[1]
+    assert len(buffers[0]) == 8 * n_edges
+    assert loaded.weight.flags.owndata
+
+
+# ---------------------------------------------------------------------------
+# The one-pass build against itself in chunks and runs, and brute force
+# ---------------------------------------------------------------------------
+
+ONE_PASS_DOCS = [[3], [5, 5, 5], [7, 2, 7, 9, 2, 0, 9], [0], [1, 4, 6, 8, 9, 2, 3],
+                 [4, 4], [8, 1, 8, 0, 5, 5, 3, 6], [], [2, 9]]
+
+
+def one_pass_corpus():
+    """Ten words and documents with one token, one repeated token, repeated
+    tokens out of sorted order, no tokens, and more distinct words than four."""
+    docs = [make_document(ids) for ids in ONE_PASS_DOCS]
+    vocab = make_vocabulary([f"w{i}" for i in range(10)])
+    corpus = Corpus(vocabulary=vocab, split=CorpusSplit(train=docs[:5], validation=docs[5:7],
+                                                        test=docs[7:]),
+                    options={}, seed=0, ratios=(0.6, 0.2, 0.2))
+    return corpus, make_embeddings(vocab, np.random.default_rng(6).normal(size=(10, 3)))
+
+
+def test_one_pass_corpus_has_a_document_across_a_chunk_of_five():
+    pairs = [len(set(ids)) * (len(set(ids)) - 1) // 2 for ids in ONE_PASS_DOCS]
+    ends = np.cumsum(pairs)
+    assert any(end - n < at < end for end, n in zip(ends, pairs) for at in range(5, end, 5))
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 5])
+@pytest.mark.parametrize("max_v, run_nodes", [(None, None), (0, None), (4, None),
+                                              (0, 0), (0, 4)])
+def test_one_pass_build_equals_default_and_brute_force(monkeypatch, chunk, max_v,
+                                                       run_nodes):
+    """Pairs in chunks of one or five, and tables per run of one document or
+    of at most four nodes, give the default build's bytes."""
+    corpus, emb = one_pass_corpus()
+    want = build_all_graphs(corpus, emb, delta=0.2).graphs
+    docs = corpus.split.all_documents()
+    assert list(want) == [DocumentGraph(*brute_force_graph(d, emb, 0.2), delta=0.2)
+                          for d in docs]
+    assert 0 < want.edge_ptr[-1] < want.node_ptr[-1] ** 2
+    for name, value in [("_PAIR_CHUNK", chunk), ("_SIM_CACHE_MAX_V", max_v),
+                        ("_RUN_NODES", run_nodes)]:
+        if value is not None:
+            monkeypatch.setattr(docgraph, name, value)
+    assert_same_columns(build_all_graphs(corpus, emb, delta=0.2).graphs, want)
