@@ -22,9 +22,9 @@ nodes k+1..e-1, so the pairs of all nodes in turn are every document's
 pairs i < j in row-major order; `_PAIR_CHUNK` of them at a time are made by
 `np.repeat` arithmetic on their pointers, gathered from the table and
 thresholded.  A vocabulary larger than `_SIM_CACHE_MAX_V` has no shared
-table: runs of whole documents of at most `_RUN_NODES` nodes each get a
-table of their own words.  `build_document_graph` builds one graph on its
-own, by the same threshold rule (`_clears`).
+table: each document gets a table of its own distinct words.
+`build_document_graph` builds one graph on its own, by the same threshold
+rule (`_clears`).
 
 A store holds all of its graphs in one `GraphColumns`: the concatenated node
 ids and edge arrays of every graph plus CSR-style pointers into them.  Build,
@@ -52,13 +52,9 @@ log = logging.getLogger(__name__)
 
 _MAGIC = b"GINOGRAPH2\n"
 
-# SimilarityCache is quadratic in V; above this size each run of whole
-# documents of at most _RUN_NODES nodes computes a table of its own words.
+# SimilarityCache is quadratic in V; above this size each document computes
+# a table of its own distinct words.
 _SIM_CACHE_MAX_V = 3000
-# A run's table costs its nodes squared plus a fixed overhead per call; at 128
-# (half a `cosine_weights` tile) builds of 5,000- and 20,000-word synthetic
-# corpora took no longer than one table per document.
-_RUN_NODES = 128
 # Pairs are gathered and thresholded this many at a time, so the build's
 # temporaries stay a few MB on any corpus.
 _PAIR_CHUNK = 2 ** 16
@@ -178,15 +174,11 @@ def build_document_graph(
     document: Document,
     embeddings: EmbeddingMatrix,
     delta: float,
-    sim_cache: SimilarityCache | None = None,
 ) -> DocumentGraph:
     """Threshold all word pairs of one document at delta."""
     delta = validate_delta(delta)
     node_ids = document.distinct_ids
-    if sim_cache is not None:
-        block = sim_cache.table[np.ix_(node_ids, node_ids)]
-    else:
-        block = cosine_weights(embeddings.vectors[node_ids])
+    block = cosine_weights(embeddings.vectors[node_ids])
     i, j = np.nonzero(np.triu(_clears(block, delta), 1))
     return DocumentGraph(
         node_ids=tuple(node_ids.tolist()),
@@ -305,20 +297,13 @@ def _nodes(documents, vocab_size: int):
 def _runs(node_ids, node_ptr, embeddings: EmbeddingMatrix, shared):
     """(a, b, table, ids) per run of whole documents, nodes a..b-1: node k's
     word is row and column ids[k - a] of the float32 cosine table.  One run
-    over the `shared` whole-vocabulary table if there is one; else runs of
-    at most _RUN_NODES nodes (or one document), each with a table of its own
-    distinct words."""
+    over the `shared` whole-vocabulary table if there is one; else one run
+    per document, with a table of its own distinct words."""
     if shared is not None:
         yield 0, node_ids.size, shared, node_ids
         return
-    a = 0
-    while a < node_ids.size:
-        b = node_ptr[np.searchsorted(node_ptr, a + _RUN_NODES, "right") - 1]
-        if b <= a:  # the run's first document alone has more nodes
-            b = node_ptr[np.searchsorted(node_ptr, a, "right")]
-        words, ids = np.unique(node_ids[a:b], return_inverse=True)
-        yield a, b, cosine_weights(embeddings.vectors[words]), ids
-        a = b
+    for a, b in zip(node_ptr[:-1].tolist(), node_ptr[1:].tolist()):
+        yield a, b, cosine_weights(embeddings.vectors[node_ids[a:b]]), np.arange(b - a)
 
 
 def _pairs(pair_ptr, lo: int, hi: int):

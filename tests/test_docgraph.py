@@ -22,7 +22,6 @@ from ginopic.docgraph import (
     save_graph_store,
     validate_delta,
 )
-from ginopic.embedding import SimilarityCache
 from ginopic.errors import ConfigError, ContractError, DataError
 
 from conftest import load_under_limit, make_document, make_embeddings, make_vocabulary
@@ -123,8 +122,10 @@ class TestBuildDocumentGraph:
         assert build_document_graph(make_document([0, 1]), emb, delta=w).adjacency == \
             ((0, 1, w),)
         assert build_document_graph(make_document([0, 1]), emb, delta=0.7).n_edges == 0
-        cache = SimilarityCache(emb)
-        assert build_document_graph(make_document([0, 1]), emb, 0.7, cache).n_edges == 0
+        corpus = Corpus(vocabulary=vocab, split=CorpusSplit(train=[make_document([0, 1])],
+                                                            validation=[], test=[]),
+                        options={}, seed=0, ratios=(1.0, 0.0, 0.0))
+        assert build_all_graphs(corpus, emb, delta=0.7).graphs.edge_ptr[-1] == 0
 
     def test_nodes_in_first_occurrence_order_no_self_loops(self):
         emb = random_embeddings(10, 4, seed=2)
@@ -144,15 +145,6 @@ class TestBuildDocumentGraph:
         emb = random_embeddings(5, 3, seed=0)
         g = build_document_graph(make_document([2, 2, 2]), emb, delta=0.5)
         assert g.node_ids == (2,) and g.n_edges == 0
-
-    def test_sim_cache_gives_identical_graphs(self):
-        emb = random_embeddings(20, 6, seed=4)
-        cache = SimilarityCache(emb)
-        gen = np.random.default_rng(5)
-        for _ in range(10):
-            doc = make_document(gen.integers(0, 20, size=15))
-            assert build_document_graph(doc, emb, 0.3, sim_cache=cache) == \
-                build_document_graph(doc, emb, 0.3)
 
     def test_delta_validation(self):
         emb = random_embeddings(3, 2, seed=0)
@@ -569,7 +561,11 @@ ONE_PASS_DOCS = [[3], [5, 5, 5], [7, 2, 7, 9, 2, 0, 9], [0], [1, 4, 6, 8, 9, 2, 
 
 def one_pass_corpus():
     """Ten words and documents with one token, one repeated token, repeated
-    tokens out of sorted order, no tokens, and more distinct words than four."""
+    tokens out of sorted order, no tokens, more distinct words than four, and
+    pairs across a boundary of chunks of five."""
+    pairs = [len(set(ids)) * (len(set(ids)) - 1) // 2 for ids in ONE_PASS_DOCS]
+    ends = np.cumsum(pairs)
+    assert any(end - n < at < end for end, n in zip(ends, pairs) for at in range(5, end, 5))
     docs = [make_document(ids) for ids in ONE_PASS_DOCS]
     vocab = make_vocabulary([f"w{i}" for i in range(10)])
     corpus = Corpus(vocabulary=vocab, split=CorpusSplit(train=docs[:5], validation=docs[5:7],
@@ -578,27 +574,18 @@ def one_pass_corpus():
     return corpus, make_embeddings(vocab, np.random.default_rng(6).normal(size=(10, 3)))
 
 
-def test_one_pass_corpus_has_a_document_across_a_chunk_of_five():
-    pairs = [len(set(ids)) * (len(set(ids)) - 1) // 2 for ids in ONE_PASS_DOCS]
-    ends = np.cumsum(pairs)
-    assert any(end - n < at < end for end, n in zip(ends, pairs) for at in range(5, end, 5))
-
-
 @pytest.mark.parametrize("chunk", [None, 1, 5])
-@pytest.mark.parametrize("max_v, run_nodes", [(None, None), (0, None), (4, None),
-                                              (0, 0), (0, 4)])
-def test_one_pass_build_equals_default_and_brute_force(monkeypatch, chunk, max_v,
-                                                       run_nodes):
-    """Pairs in chunks of one or five, and tables per run of one document or
-    of at most four nodes, give the default build's bytes."""
+@pytest.mark.parametrize("max_v", [None, 0, 4])
+def test_one_pass_build_equals_default_and_brute_force(monkeypatch, chunk, max_v):
+    """Pairs in chunks of one or five, and a table per document, give the
+    default build's bytes."""
     corpus, emb = one_pass_corpus()
     want = build_all_graphs(corpus, emb, delta=0.2).graphs
     docs = corpus.split.all_documents()
     assert list(want) == [DocumentGraph(*brute_force_graph(d, emb, 0.2), delta=0.2)
                           for d in docs]
     assert 0 < want.edge_ptr[-1] < want.node_ptr[-1] ** 2
-    for name, value in [("_PAIR_CHUNK", chunk), ("_SIM_CACHE_MAX_V", max_v),
-                        ("_RUN_NODES", run_nodes)]:
+    for name, value in [("_PAIR_CHUNK", chunk), ("_SIM_CACHE_MAX_V", max_v)]:
         if value is not None:
             monkeypatch.setattr(docgraph, name, value)
     assert_same_columns(build_all_graphs(corpus, emb, delta=0.2).graphs, want)
