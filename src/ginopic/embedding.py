@@ -1,7 +1,7 @@
 """Pretrained word embeddings aligned to a vocabulary.
 
 Input format: UTF-8 text, one word per line, "word v1 v2 ... vdim",
-whitespace separated.
+whitespace separated, read in bounded chunks by numpy's C text reader.
 
 Words missing from the file (OOV) get reproducible uniform(-0.1, 0.1) fills
 drawn from a stream keyed by (seed, word), so the fill for a given word is
@@ -78,48 +78,84 @@ def _oov_fill(word: str, dim: int, seed: int) -> np.ndarray:
     return gen.uniform(-0.1, 0.1, size=dim).astype(np.float32)
 
 
+_CHUNK_BYTES = 1 << 18
+
+
 def load_embeddings(path, vocabulary: Vocabulary, seed: int = 0) -> EmbeddingMatrix:
     """Load text embeddings and align them to `vocabulary`.
 
-    Raises DataError if the file is malformed or shares no words with the
-    vocabulary at all (a wrong-file guard; pure OOV fill would train on
-    noise).
+    numpy's C text reader parses the file one chunk of about _CHUNK_BYTES
+    characters at a time, and each chunk's vocabulary rows are scattered
+    into the matrix, so memory does not grow with the file.  Blank lines are
+    skipped; `dim` comes from the first other line, and every line, in the
+    vocabulary or not, must carry `dim` finite float32 components.  A word
+    given twice takes its last line.
+
+    Raises DataError naming the 1-based line that breaks these rules, or if
+    the file shares no words with the vocabulary at all (a wrong-file guard;
+    pure OOV fill would train on noise).
     """
-    found: dict = {}
-    dim = None
+    word_id = vocabulary.index.get
+    converters = {0: lambda word: word_id(word, -1)}
+    vectors = found = dim = None
+    lineno = 1
     with read_text(path, "embedding file") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            word, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise DataError(f"line {lineno}: no vector components", path=path)
-            elif len(values) != dim:
-                raise DataError(
-                    f"line {lineno}: expected {dim} components, got {len(values)}",
-                    path=path,
-                )
-            if word not in vocabulary:
-                continue
-            try:
-                found[word] = np.array([float(x) for x in values], dtype=np.float32)
-            except ValueError as e:
-                raise DataError(f"line {lineno}: malformed float", path=path) from e
-    if not found:
+        while chunk := fh.readlines(_CHUNK_BYTES):
+            if any(map(str.strip, chunk)):
+                try:
+                    rows = np.loadtxt(chunk, comments=None, ndmin=2, converters=converters)
+                    with np.errstate(over="ignore"):
+                        values = rows[:, 1:].astype(np.float32)
+                    width = values.shape[1]
+                    ok = width > 0 and width == (dim or width) and np.isfinite(values).all()
+                except ValueError:
+                    ok = False
+                if not ok:
+                    _raise_first_bad_line(chunk, lineno, dim, converters, path)
+                if vectors is None:
+                    dim = width
+                    vectors = np.empty((len(vocabulary), dim), dtype=np.float32)
+                    found = np.zeros(len(vocabulary), dtype=bool)
+                ids = rows[:, 0].astype(np.intp)
+                # numpy leaves unsaid which of repeated indices an assignment
+                # keeps, so pick each word's last row of the chunk first
+                last = len(ids) - 1 - np.unique(ids[::-1], return_index=True)[1]
+                last = last[ids[last] >= 0]
+                vectors[ids[last]] = values[last]
+                found[ids[last]] = True
+            lineno += len(chunk)
+    if found is None or not found.any():
         raise DataError("embedding file shares no words with the vocabulary", path=path)
-    vectors = np.empty((len(vocabulary), dim), dtype=np.float32)
-    oov = np.zeros(len(vocabulary), dtype=bool)
-    for i, word in enumerate(vocabulary.words):
-        hit = found.get(word)
-        if hit is None:
-            vectors[i] = _oov_fill(word, dim, seed)
-            oov[i] = True
-        else:
-            vectors[i] = hit
-    return EmbeddingMatrix(vectors=vectors, oov_mask=oov, vocabulary=vocabulary)
+    for i in np.flatnonzero(~found):
+        vectors[i] = _oov_fill(vocabulary.words[i], dim, seed)
+    return EmbeddingMatrix(vectors=vectors, oov_mask=~found, vocabulary=vocabulary)
+
+
+def _raise_first_bad_line(chunk, lineno, dim, converters, path):
+    """Raise the DataError for the first line of `chunk` that breaks a rule.
+
+    The chunk starts at file line `lineno`; `dim` is None until a chunk has
+    loaded.  The chunk reader counts only non-blank rows, and from 0 in every
+    chunk, so the error path re-reads the chunk line by line.
+    """
+    for n, line in enumerate(chunk, start=lineno):
+        if not (parts := line.split()):
+            continue
+        if dim is None:
+            dim = len(parts) - 1
+            if dim == 0:
+                raise DataError(f"line {n}: no vector components", path=path)
+        elif len(parts) - 1 != dim:
+            raise DataError(f"line {n}: expected {dim} components, got {len(parts) - 1}",
+                            path=path)
+        try:
+            row = np.loadtxt([line], comments=None, converters=converters)
+        except ValueError as e:
+            raise DataError(f"line {n}: malformed float", path=path) from e
+        with np.errstate(over="ignore"):
+            if not np.isfinite(row[1:].astype(np.float32)).all():
+                raise DataError(f"line {n}: non-finite component", path=path)
+    raise DataError(f"lines {lineno}-{n}: unreadable embedding rows", path=path)
 
 
 _TILE = 256

@@ -218,6 +218,22 @@ class TestBuildGraphs:
             assert rc == 3
             assert_one_line_error(err)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e39"])
+    def test_non_finite_embedding_exit_code(self, pipeline, tmp_path, capsys, value):
+        lines = open(pipeline.emb, encoding="utf-8").read().splitlines()
+        word, _, *rest = lines[1].split()
+        bad = tmp_path / "emb.txt"
+        bad.write_text("\n".join([lines[0], " ".join([word, value, *rest]), *lines[2:]]) + "\n",
+                       encoding="utf-8")
+        out = tmp_path / "g.bin"
+        rc, _, err = run(capsys, ["build-graphs", "--corpus", pipeline.corpus,
+                                  "--embeddings", str(bad), "--delta", "0.5",
+                                  "--out", str(out)])
+        assert rc == 3
+        assert_one_line_error(err)
+        assert "line 2: non-finite component" in err
+        assert not out.exists()
+
     def test_malformed_cache_header_rebuilt(self, pipeline, tmp_path, capsys):
         out = tmp_path / "g.bin"
         write_bad_header_cache(out)

@@ -1,8 +1,14 @@
 """Embedding loading, cosine similarity, OOV filling, and the similarity table."""
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ginopic import embedding
 from ginopic.embedding import (
@@ -80,13 +86,44 @@ class TestTextLoading:
     def test_dimension_mismatch_reports_line(self, tmp_path):
         path = tmp_path / "emb.txt"
         self._write(path, ["cat 1.0 2.0", "dog 3.0"])
-        with pytest.raises(DataError, match="line 2"):
+        with pytest.raises(DataError, match=r"line 2: expected 2 components, got 1"):
             load_embeddings(path, make_vocabulary(["cat", "dog"]))
 
     def test_malformed_float_reports_line(self, tmp_path):
         path = tmp_path / "emb.txt"
         self._write(path, ["cat 1.0 oops"])
-        with pytest.raises(DataError, match="line 1"):
+        with pytest.raises(DataError, match=r"line 1: malformed float"):
+            load_embeddings(path, make_vocabulary(["cat"]))
+
+    def test_no_components_reports_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        self._write(path, ["", "  ", "cat", "dog 1.0"])
+        with pytest.raises(DataError, match=r"line 3: no vector components"):
+            load_embeddings(path, make_vocabulary(["cat", "dog"]))
+
+    @pytest.mark.parametrize("value", ["nan", "-nan", "inf", "-Infinity", "1e39", "-1e39",
+                                       "1e400"])
+    def test_non_finite_component_reports_line(self, tmp_path, value):
+        # float32 overflow (1e39) counts as non-finite; so does a line whose
+        # word is not in the vocabulary
+        path = tmp_path / "emb.txt"
+        for lines in (["cat 1.0 2.0", f"dog 3.0 {value}"], ["cat 1.0 2.0", f"bird {value} 1.0"]):
+            self._write(path, lines)
+            with pytest.raises(DataError, match=r"line 2: non-finite component"):
+                load_embeddings(path, make_vocabulary(["cat", "dog"]))
+
+    def test_float32_max_is_finite(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        self._write(path, ["cat 3.4028235e38 -3.4028235e38 1e-46"])
+        got = load_embeddings(path, make_vocabulary(["cat"])).vector("cat")
+        assert got.tolist() == [np.finfo(np.float32).max, -np.finfo(np.float32).max, 0.0]
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "\uff11", "0x1p3", "1,5", "1d3"])
+    def test_only_ascii_decimal_syntax(self, tmp_path, value):
+        # float() accepts the first three; the file format does not
+        path = tmp_path / "emb.txt"
+        self._write(path, ["cat 1.0 2.0", f"bird 3.0 {value}"])
+        with pytest.raises(DataError, match=r"line 2: malformed float"):
             load_embeddings(path, make_vocabulary(["cat"]))
 
     def test_no_overlap_rejected(self, tmp_path):
@@ -98,6 +135,134 @@ class TestTextLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_embeddings(tmp_path / "nope.txt", make_vocabulary(["cat"]))
+
+
+def reference_rows(path):
+    """word -> float32 components, parsed one token at a time with `float`;
+    the last line of a repeated word wins."""
+    rows = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if parts := line.split():
+                rows[parts[0]] = [np.float32(float(tok)) for tok in parts[1:]]
+    return rows
+
+
+SEPARATORS = st.sampled_from([" ", "\t", "\x0b", "\xa0", "  ", " \t\xa0"])
+
+
+@st.composite
+def float_text(draw):
+    """A component as a file may spell it: the repr of a float32 value
+    (signed zeros and subnormals included), its shortest float32 spelling,
+    or a long decimal that may round between two float32 values."""
+    kind = draw(st.sampled_from(["repr", "short", "decimal"]))
+    if kind == "decimal":
+        digits = draw(st.text("0123456789", min_size=1, max_size=24))
+        return (f"{draw(st.sampled_from(['', '-', '+']))}{draw(st.integers(0, 9))}.{digits}"
+                f"e{draw(st.integers(-50, 37))}")
+    value = draw(st.floats(width=32, allow_nan=False, allow_infinity=False))
+    return repr(value) if kind == "repr" else str(np.float32(value))
+
+
+@st.composite
+def embedding_text(draw):
+    """A valid embedding file over words w0-w3 (in the vocabulary) and x0-x1
+    (not), with blank and whitespace-only lines, CRLF endings, repeated
+    words and mixed separators."""
+    dim = draw(st.integers(1, 4))
+    words = st.sampled_from(["w0", "w1", "w2", "w3", "x0", "x1"])
+    lines = []
+    for _ in range(draw(st.integers(2, 12))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\xa0 "])))
+        tokens = [draw(words)] + [draw(float_text()) for _ in range(dim)]
+        text = draw(st.sampled_from(["", " "])) + tokens[0]
+        for tok in tokens[1:]:
+            text += draw(SEPARATORS) + tok
+        lines.append(text + draw(st.sampled_from(["", " ", "\t"])))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+def write_chunk_file(path, lines, bad_at_chunk_start=None):
+    """Write `lines`, replacing the first line of the second chunk the loader
+    reads with `bad_at_chunk_start`; returns that line's 1-based number."""
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        second = len(fh.readlines(embedding._CHUNK_BYTES)) + 1
+    assert second <= len(lines)
+    if bad_at_chunk_start is not None:
+        lines = list(lines)
+        lines[second - 1] = bad_at_chunk_start
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return second
+
+
+class TestChunkedParse:
+    @given(text=embedding_text(), chunk=st.integers(1, 64), seed=st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_per_token_float(self, text, chunk, seed):
+        vocab = make_vocabulary(["w0", "w1", "w2", "w3"])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "emb.txt"
+            path.write_bytes(text.encode("utf-8"))
+            rows = reference_rows(path)
+            with mock.patch.object(embedding, "_CHUNK_BYTES", chunk):
+                if not rows.keys() & set(vocab.words):
+                    with pytest.raises(DataError, match="shares no words"):
+                        load_embeddings(path, vocab, seed=seed)
+                    return
+                got = load_embeddings(path, vocab, seed=seed)
+        dim = len(next(iter(rows.values())))
+        want = np.array([rows.get(w, embedding._oov_fill(w, dim, seed)) for w in vocab.words],
+                        dtype=np.float32)
+        assert got.vectors.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+        assert got.oov_mask.tolist() == [w not in rows for w in vocab.words]
+
+    @pytest.mark.parametrize("bad,message", [
+        ("w9 0.5", "expected 3 components, got 1"),
+        ("w9 0.5 oops 0.5", "malformed float"),
+        ("w9 0.5 nan 0.5", "non-finite component"),
+    ])
+    def test_error_names_first_line_of_second_chunk(self, tmp_path, bad, message):
+        # blank lines in the first chunk must count towards the line number
+        path = tmp_path / "emb.txt"
+        lines = ["cat 1.0 2.0 3.0", "dog 4.0 5.0 6.0"] + [
+            f"x{i} 0.25 -0.5 0.125" if i % 10 else "" for i in range(embedding._CHUNK_BYTES // 8)]
+        line = write_chunk_file(path, lines, bad)
+        assert line > 1000
+        with pytest.raises(DataError, match=rf"line {line}: {message} "):
+            load_embeddings(path, make_vocabulary(["cat", "dog"]))
+
+    def test_second_chunk_of_another_width(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        lines = ["cat 1.0 2.0 3.0"] + [
+            f"x{i} 0.25 -0.5 0.125" for i in range(embedding._CHUNK_BYTES // 8)]
+        line = write_chunk_file(path, lines)
+        lines[line - 1:] = [f"y{i} 0.25 -0.5" for i in range(len(lines) - line + 1)]
+        write_chunk_file(path, lines)
+        with pytest.raises(DataError, match=rf"line {line}: expected 3 components, got 2 "):
+            load_embeddings(path, make_vocabulary(["cat"]))
+
+    def test_memory_does_not_grow_with_file(self, tmp_path):
+        # about 20,000 lines of 64 components, a 16 MB file; its vocabulary
+        # rows are the first and the last line
+        path = tmp_path / "emb.txt"
+        row = " ".join(["-0.123456789"] * 64)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"cat {row}\n")
+            fh.writelines(f"x{i} {row}\n" for i in range(20_000))
+            fh.write(f"dog {row}\n")
+        assert path.stat().st_size > 15 * embedding._CHUNK_BYTES
+        vocab = make_vocabulary(["cat", "dog"])
+        tracemalloc.start()
+        try:
+            emb = load_embeddings(path, vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emb.oov_count == 0
+        assert peak < 6 * embedding._CHUNK_BYTES
 
 
 class TestEmbeddingMatrix:
