@@ -22,8 +22,9 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,12 +41,17 @@ NPMI_EPS = 1e-12
 
 @dataclass
 class CooccurrenceStats:
-    """Window-presence probabilities: p(w) and p(w_i, w_j) from boolean windows."""
+    """Window-presence probabilities: p(w) and p(w_i, w_j) from boolean windows.
+
+    `pair_counts` maps `(a, b)` with `a < b` to the number of windows holding
+    both words.  `build_cooccurrence` fills it with a read-only view of the
+    sparse product it counts with (`PairCounts`), not a dict of every pair.
+    """
 
     window_size: int
     n_windows: int
     word_counts: Counter = field(default_factory=Counter)
-    pair_counts: Counter = field(default_factory=Counter)
+    pair_counts: Mapping = field(default_factory=Counter)
 
     def p_word(self, word: str) -> float:
         return self.word_counts.get(word, 0) / self.n_windows
@@ -58,6 +64,61 @@ class CooccurrenceStats:
         return self.pair_counts.get(key, 0) / self.n_windows
 
 
+class PairCounts(Mapping):
+    """Read-only `(a, b) -> count` view of the strict upper triangle of W.T @ W.
+
+    `pairs` is that triangle as a CSR matrix over `words`, which are numbered
+    in sorted order; with each row's columns sorted, key `(a, b)` with `a < b`
+    is row `index[a]`, column `index[b]`, and row order is key order.  A lookup
+    is one binary search within a row.  Keys, values and items are made from
+    whole-array `tolist()` calls, so walking the view is O(nnz) and every
+    count is a Python int.  A reversed pair, a pair of one word with itself
+    and a word outside `words` are absent, as in a dict of the pairs.
+    """
+
+    def __init__(self, words: list, index: dict, pairs: sp.csr_matrix):
+        pairs.sort_indices()
+        self._words, self._index, self._pairs = words, index, pairs
+        self._bounds = pairs.indptr.tolist()  # Python ints index faster
+
+    def __getitem__(self, key):
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise KeyError(key)
+        a, b = key
+        if a not in self._index or b not in self._index:
+            raise KeyError(key)
+        row, col = self._index[a], self._index[b]
+        lo, hi = self._bounds[row], self._bounds[row + 1]
+        at = lo + int(self._pairs.indices[lo:hi].searchsorted(col))
+        if at == hi or self._pairs.indices[at] != col:
+            raise KeyError(key)
+        return int(self._pairs.data[at])
+
+    def __len__(self) -> int:
+        return self._pairs.nnz
+
+    def __iter__(self):
+        rows = np.repeat(np.arange(self._pairs.shape[0]), np.diff(self._pairs.indptr))
+        word = self._words.__getitem__
+        return zip(map(word, rows.tolist()), map(word, self._pairs.indices.tolist()))
+
+    def values(self):
+        return _PairValues(self)
+
+    def items(self):
+        return _PairItems(self)
+
+
+class _PairValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._pairs.data.tolist())
+
+
+class _PairItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._pairs.data.tolist())
+
+
 def build_cooccurrence(token_documents, window_size: int = NPMI_WINDOW) -> CooccurrenceStats:
     """Count boolean word and pair presence over all sliding windows.
 
@@ -68,27 +129,24 @@ def build_cooccurrence(token_documents, window_size: int = NPMI_WINDOW) -> Coocc
     integer product W.T @ W: its diagonal holds the word counts and its strict
     upper triangle the pair counts.  Integer sums do not depend on the order
     of accumulation, so the counts equal those of visiting window by window.
+    The word counts are a Counter; the pair counts are a read-only view of
+    the sparse upper triangle (`PairCounts`), so no Python object is made
+    per pair.
     """
     if window_size < 1:
         raise ConfigError(f"window_size must be >= 1, got {window_size}")
-    words, presence = _window_presence(token_documents, window_size)
+    words, index, presence = _window_presence(token_documents, window_size)
     counts = presence.T @ presence
-    stats = CooccurrenceStats(window_size=window_size, n_windows=presence.shape[0])
+    pairs = PairCounts(words, index, sp.triu(counts, k=1, format="csr"))
+    stats = CooccurrenceStats(window_size=window_size, n_windows=presence.shape[0],
+                              pair_counts=pairs)
     # dict.update fills a Counter without adding to (or copying) anything
     dict.update(stats.word_counts, zip(words, counts.diagonal().tolist()))
-    pairs = sp.triu(counts, k=1, format="csr")
-    del presence, counts  # freed before the pair Counter grows
-    # one word's row at a time keeps the key lists small next to the Counter
-    names = np.array(words, dtype=object)
-    bounds = pairs.indptr.tolist()
-    for a, lo, hi in zip(words, bounds, bounds[1:]):
-        dict.update(stats.pair_counts, zip(zip(repeat(a), names[pairs.indices[lo:hi]].tolist()),
-                                           pairs.data[lo:hi].tolist()))
     return stats
 
 
 def _window_presence(token_documents, window_size: int):
-    """(sorted distinct words, boolean int32 CSR of windows x words).
+    """(sorted distinct words, word -> id, boolean int32 CSR of windows x words).
 
     A document of length L >= window_size has the L - window_size + 1 windows
     of `window_size` tokens that fit in it; a shorter non-empty document is a
@@ -118,7 +176,7 @@ def _window_presence(token_documents, window_size: int):
                              shape=(n_windows, len(words)))
     presence.sum_duplicates()
     presence.data.fill(1)
-    return words, presence
+    return words, index, presence
 
 
 def npmi_pair(stats: CooccurrenceStats, a: str, b: str, eps: float = NPMI_EPS) -> float:
@@ -192,17 +250,23 @@ def rbo(list_a, list_b, p: float = 0.9, depth: int | None = None) -> float:
     return acc / norm
 
 
-def validate_topics(topics) -> None:
+def _topics_fault(topics) -> str | None:
+    """What makes `topics` unusable as a topic set, or None if nothing does."""
     if len(topics) < 2:
-        raise ContractError(f"need >= 2 topics, got {len(topics)}")
+        return f"need >= 2 topics, got {len(topics)}"
     n = len(topics[0])
     for i, topic in enumerate(topics):
         if len(topic) != n:
-            raise ContractError(
-                f"topic {i} has {len(topic)} words, expected {n} (ragged topic set)"
-            )
+            return f"topic {i} has {len(topic)} words, expected {n} (ragged topic set)"
         if len(set(topic)) != len(topic):
-            raise ContractError(f"topic {i} contains repeated words")
+            return f"topic {i} contains repeated words"
+    return None
+
+
+def validate_topics(topics) -> None:
+    fault = _topics_fault(topics)
+    if fault is not None:
+        raise ContractError(fault)
 
 
 def irbo(topics, p: float = 0.9) -> float:
@@ -290,10 +354,15 @@ def save_topics(topics, path) -> None:
 
 
 def load_topics(path) -> list:
+    """Topics saved by `save_topics`; a file that is not a valid topic set
+    (fewer than two topics, ragged, a repeated word) is a DataError."""
     with read_text(path, "topics file") as fh:
         topics = [line.split() for line in fh if line.strip()]
     if not topics:
         raise DataError("topics file is empty", path=path)
+    fault = _topics_fault(topics)
+    if fault is not None:
+        raise DataError(f"topics file: {fault}", path=path)
     return topics
 
 

@@ -7,6 +7,8 @@ import dataclasses
 import json
 import os
 import struct
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -484,6 +486,20 @@ class TestEvalTopics:
         assert rc == 0
         assert set(parse_table(out)) == {"irbo", "wi_c", "wi_m"}
 
+    @pytest.mark.parametrize("text, fault", [
+        ("apple banana cherry\n", "need >= 2 topics"),
+        ("apple banana cherry\nengine wheel\n", "ragged"),
+        ("apple banana apple\nengine wheel brake\n", "repeated"),
+    ], ids=["one_topic", "ragged", "repeated_word"])
+    def test_malformed_topics_file_exit_code(self, tmp_path, capsys, text, fault):
+        topics = tmp_path / "topics.txt"
+        topics.write_text(text)
+        rc, out, err = run(capsys, ["eval-topics", "--topics-file", str(topics)])
+        assert rc == 3
+        assert out == ""
+        assert_one_line_error(err)
+        assert fault in err and str(topics) in err
+
     def test_needs_some_source(self, capsys):
         rc, _, _ = run(capsys, ["eval-topics"])
         assert rc == 2
@@ -532,6 +548,21 @@ class TestClassify:
         assert rc == 3
         assert_one_line_error(err)
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("bad", [
+        ["--runs", "0"], ["--svm-epochs", "0"], ["--svm-lr", "0"], ["--svm-lr", "-0.1"],
+        ["--svm-l2", "-0.5"],
+    ], ids=["runs", "svm_epochs", "svm_lr_zero", "svm_lr_negative", "svm_l2"])
+    def test_bad_settings_fail_before_inference(self, pipeline, capsys, monkeypatch, bad):
+        def no_inference(*args, **kwargs):
+            raise AssertionError("infer_theta ran before the settings were checked")
+
+        monkeypatch.setattr(cli, "infer_theta", no_inference)
+        rc, _, err = run(capsys, ["classify", "--model", pipeline.model,
+                                  "--corpus", pipeline.corpus,
+                                  "--graphs", pipeline.graphs, *bad])
+        assert rc == 2
+        assert_one_line_error(err)
 
     def test_unlabeled_corpus_rejected(self, pipeline, tmp_path, capsys):
         corpus = str(tmp_path / "nolabel.bin")
@@ -661,6 +692,53 @@ class TestEntryPoint:
         assert rc == 0
         for line in out.strip().split("\n"):
             assert "\t" in line
+
+    def test_sets_glibc_heap_thresholds(self, capsys, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL",
+                            lambda name: types.SimpleNamespace(mallopt=mallopt))
+        rc, _, _ = run(capsys, [])
+        assert rc == 2
+        # M_MMAP_THRESHOLD = 32 MiB, M_TRIM_THRESHOLD = 64 MiB
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    @pytest.mark.parametrize("lookup_error", [AttributeError, OSError])
+    def test_runs_without_mallopt(self, capsys, monkeypatch, tmp_path, lookup_error):
+        def no_libc(name):
+            raise lookup_error("mallopt")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
+        topics = tmp_path / "topics.txt"
+        topics.write_text("apple banana cherry\nengine wheel brake\n")
+        rc, out, _ = run(capsys, ["eval-topics", "--topics-file", str(topics)])
+        assert rc == 0
+        assert set(parse_table(out)) == {"irbo"}
+
+    def test_import_leaves_the_allocator_alone(self):
+        # a fresh interpreter, so that the import is a first import
+        probe = (
+            "import ctypes\n"
+            "calls = []\n"
+            "real = ctypes.CDLL\n"
+            "def record(name, *args, **kwargs):\n"
+            "    calls.append(name)\n"
+            "    return real(name, *args, **kwargs)\n"
+            "ctypes.CDLL = record\n"
+            "import ginopic.cli\n"
+            "assert None not in calls, calls\n"
+            "assert ginopic.cli.main([]) == 2\n"
+            "assert None in calls, calls\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_errors_go_to_stderr_not_stdout(self, capsys, tmp_path):
         rc, out, err = run(capsys, ["preprocess",

@@ -1,5 +1,6 @@
 """Coherence and diversity metrics against brute-force oracles and hand values."""
 import math
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -196,6 +197,55 @@ def test_cooccurrence_property_matches_oracle(docs, ws):
     assert (stats.n_windows, stats.word_counts, stats.pair_counts) == (
         n_win, words, pairs
     )
+
+
+@given(
+    st.lists(
+        st.lists(st.sampled_from(["aa", "bb", "cc", "dd", "ee", "ff"]), min_size=1,
+                 max_size=15),
+        min_size=1, max_size=6,
+    ),
+    st.integers(1, 12),
+)
+@settings(max_examples=40)
+def test_pair_counts_view_matches_loop(docs, ws):
+    """The sparse pair view behaves as the loop's Counter of (a, b), a < b."""
+    pairs = build_cooccurrence(docs, ws).pair_counts
+    want = loop_build_cooccurrence(docs, ws)[2]
+    keys = list(pairs)
+    assert len(pairs) == len(want) == len(keys)
+    assert keys == sorted(want) and all(a < b for a, b in keys)
+    assert list(pairs.values()) == [want[k] for k in keys]
+    assert all(type(v) is int for v in pairs.values())
+    assert list(pairs.items()) == [(k, want[k]) for k in keys]
+    assert len(pairs.items()) == len(pairs.values()) == len(want)
+    for (a, b), count in want.items():
+        assert (a, b) in pairs and pairs[(a, b)] == pairs.get((a, b)) == count
+        assert (b, a) not in pairs and pairs.get((b, a), -1) == -1
+    present = sorted({w for doc in docs for w in doc})
+    for a in present:
+        assert (a, a) not in pairs and pairs.get((a, a)) is None
+        assert pairs.get((a, "zz")) is None and pairs.get(("a0", a), 0) == 0
+    for key in ("aa", ("aa",), ("aa", "bb", "cc")):
+        assert key not in pairs
+    with pytest.raises(KeyError):
+        pairs[("zz", "zzz")]
+
+
+def test_pair_counts_hold_no_object_per_pair():
+    """The pair counts stay a view of the sparse product: a few bytes per
+    distinct pair, where a dict of (word, word) tuples holds about 90."""
+    gen = np.random.default_rng(0)
+    words = [f"w{i:04d}" for i in range(600)]
+    docs = [[words[i] for i in gen.integers(0, len(words), size=1000)] for _ in range(6)]
+    tracemalloc.start()
+    try:
+        stats = build_cooccurrence(docs, CV_WINDOW)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(stats.pair_counts) > 100_000
+    assert held < 16 * len(stats.pair_counts)
 
 
 class TestNpmi:
