@@ -468,6 +468,9 @@ def _cmd_eval_topics(o) -> int:
                            corpus.vocabulary)
     elif o.topics_file:
         topics = load_topics(o.topics_file)
+        if corpus is not None and len(topics[0]) < 2:
+            raise DataError(f"topics file: coherence needs >= 2 words per topic, "
+                            f"got {len(topics[0])}", path=o.topics_file)
     else:
         raise ConfigError("one of --model or --topics-file is required")
 
@@ -499,6 +502,9 @@ def _cmd_classify(o) -> int:
     corpus = load_corpus(o.corpus)
     if any(d.label is None for d in corpus.split.all_documents()):
         raise ConfigError("classification needs a labeled corpus")
+    for name in ("train", "test"):
+        if not getattr(corpus.split, name):
+            raise ContractError(f"{name} split is empty")
     store = load_graph_store(o.graphs)
     if store.corpus_sha256 != corpus.sha256:
         raise ContractError("graph store was built from a different corpus")
@@ -508,8 +514,6 @@ def _cmd_classify(o) -> int:
     theta_test = infer_theta(model, corpus.split.test, store.test_graphs())
     y_train = [d.label for d in corpus.split.train]
     y_test = [d.label for d in corpus.split.test]
-    if not y_test:
-        raise ContractError("test split is empty")
 
     rows = [("run", "seed", "accuracy")]
     _emit(*rows[0])

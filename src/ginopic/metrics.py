@@ -25,14 +25,19 @@ from collections import Counter
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from itertools import chain, combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .artifact import atomic_write, read_text, write_tsv
 from .embedding import EmbeddingMatrix, cosine_similarity
 from .errors import ConfigError, ContractError, DataError
+
+# scipy.sparse is imported inside the functions that use it: it takes about
+# 0.2 s to import, which commands that compute no coherence skip
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 NPMI_WINDOW = 10
 CV_WINDOW = 110
@@ -135,6 +140,8 @@ def build_cooccurrence(token_documents, window_size: int = NPMI_WINDOW) -> Coocc
     """
     if window_size < 1:
         raise ConfigError(f"window_size must be >= 1, got {window_size}")
+    import scipy.sparse as sp
+
     words, index, presence = _window_presence(token_documents, window_size)
     counts = presence.T @ presence
     pairs = PairCounts(words, index, sp.triu(counts, k=1, format="csr"))
@@ -152,6 +159,8 @@ def _window_presence(token_documents, window_size: int):
     of `window_size` tokens that fit in it; a shorter non-empty document is a
     single window of all its tokens.  The row order does not matter to W.T @ W.
     """
+    import scipy.sparse as sp
+
     docs = list(token_documents)
     lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
     if not lengths.any():

@@ -29,11 +29,16 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, ContractError, NumericsError, ShapeError
+
+# scipy.sparse is imported inside the functions that use it: it takes about
+# 0.2 s to import, which commands that never multiply sparse matrices skip
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _default_dtype = np.dtype(np.float32)
@@ -485,6 +490,8 @@ def _bucket_matrix(buckets, n_buckets: int, dtype) -> sp.csr_matrix:
     zero row in ascending k, which is the order of `np.add.at`, so the sums
     equal it bit for bit, signed zeros included.
     """
+    import scipy.sparse as sp
+
     order = np.argsort(buckets, kind="stable")
     indptr = np.concatenate(([0], np.cumsum(np.bincount(buckets, minlength=n_buckets))))
     return sp.csr_matrix((np.ones(buckets.size, dtype), order, indptr),
@@ -535,6 +542,8 @@ class SparseMatrix:
 
     @classmethod
     def from_coo(cls, rows, cols, values, shape, dtype=None) -> "SparseMatrix":
+        import scipy.sparse as sp
+
         dtype = np.dtype(dtype) if dtype is not None else get_default_dtype()
         m = sp.coo_matrix(
             (np.asarray(values, dtype=dtype), (np.asarray(rows), np.asarray(cols))),

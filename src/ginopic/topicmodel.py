@@ -397,6 +397,8 @@ def infer_theta(model: TopicModel, documents, graphs, batch_size: int = 256) -> 
         _, mu, logvar = model.encode_batch(docs, gs, training=False)
         z = reparameterize(mu, T.exp(logvar), np.zeros(mu.shape, dtype=mu.dtype))
         rows.append(T.softmax(z).data)
+    if not rows:
+        return np.empty((0, model.config.topics), dtype=model.beta.dtype)
     return np.concatenate(rows, axis=0)
 
 

@@ -61,6 +61,14 @@ def assert_one_line_error(err: str) -> None:
         err.strip().splitlines()[-1]]
 
 
+def run_fresh(probe: str, cwd=None) -> None:
+    """Run `probe` in a fresh interpreter that imports this package; it must exit 0."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          cwd=cwd, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def parse_table(out: str) -> dict:
     rows = [line.split("\t") for line in out.strip().split("\n") if line]
     return {r[0]: r[1:] for r in rows}
@@ -508,6 +516,20 @@ class TestEvalTopics:
         rc, _, _ = run(capsys, ["eval-topics", "--model", pipeline.model])
         assert rc == 2
 
+    def test_one_word_topics_file_with_corpus_exit_code(self, pipeline, tmp_path, capsys):
+        topics = tmp_path / "topics.txt"
+        topics.write_text("alpha\nbeta\n")
+        rc, out, err = run(capsys, ["eval-topics", "--topics-file", str(topics),
+                                    "--corpus", pipeline.corpus])
+        assert rc == 3
+        assert out == ""
+        assert_one_line_error(err)
+        assert ">= 2 words per topic" in err and str(topics) in err
+        # without a corpus no coherence is computed, and one-word topics still load
+        rc, out, _ = run(capsys, ["eval-topics", "--topics-file", str(topics)])
+        assert rc == 0
+        assert set(parse_table(out)) == {"irbo"}
+
     @pytest.mark.parametrize("edit", [
         lambda h: {k: v for k, v in h.items() if k != "vocab_size"},
         lambda h: {**h, "config": {**h["config"], "momentum": 0.9}},
@@ -572,6 +594,37 @@ class TestClassify:
         rc, _, _ = run(capsys, ["classify", "--model", pipeline.model,
                                 "--corpus", corpus, "--graphs", pipeline.graphs])
         assert rc == 2
+
+    def test_empty_test_split_exit_code(self, pipeline, tmp_path, capsys):
+        # 6 documents: the default ratios floor validation and test to 0
+        for name in ("raw.txt", "labels.txt"):
+            head = (pipeline.root / name).read_text().split("\n")[:6]
+            (tmp_path / name).write_text("\n".join(head) + "\n")
+        corpus, graphs = str(tmp_path / "six.bin"), str(tmp_path / "six_graphs.bin")
+        assert main(["preprocess", "--input", str(tmp_path / "raw.txt"),
+                     "--labels", str(tmp_path / "labels.txt"), "--out", corpus]) == 0
+        assert len(load_corpus(corpus).split.test) == 0
+        assert main(["build-graphs", "--corpus", corpus, "--embeddings", pipeline.emb,
+                     "--delta", "0.5", "--out", graphs]) == 0
+        assert main(["train", "--corpus", corpus, "--graphs", graphs, "--topics", "2",
+                     "--epochs", "1", "--out", str(tmp_path / "run")] + TRAIN_DIMS) == 0
+        rc, out, err = run(capsys, ["classify", "--model", str(tmp_path / "run" / "model.ckpt"),
+                                    "--corpus", corpus, "--graphs", graphs])
+        assert rc == 2
+        assert out == ""
+        assert_one_line_error(err)
+        assert "test split is empty" in err
+
+    def test_empty_train_split_fails_before_loading(self, pipeline, tmp_path, capsys):
+        corpus = str(tmp_path / "no_train.bin")
+        assert main(["preprocess", "--input", str(pipeline.root / "raw.txt"),
+                     "--labels", str(pipeline.root / "labels.txt"),
+                     "--ratios", "0,0.5,0.5", "--out", corpus]) == 0
+        rc, _, err = run(capsys, ["classify", "--model", str(tmp_path / "absent.ckpt"),
+                                  "--corpus", corpus, "--graphs", str(tmp_path / "absent.bin")])
+        assert rc == 2
+        assert_one_line_error(err)
+        assert "train split is empty" in err
 
     def test_mismatched_graph_store(self, pipeline, tmp_path, capsys):
         half_text = "\n".join((pipeline.root / "raw.txt").read_text().split("\n")[:30])
@@ -734,11 +787,33 @@ class TestEntryPoint:
             "assert ginopic.cli.main([]) == 2\n"
             "assert None in calls, calls\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = {**os.environ, "PYTHONPATH": src}
-        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
+        run_fresh(probe)
+
+    def test_import_loads_no_scipy(self):
+        probe = (
+            "import sys\n"
+            "import ginopic\n"
+            "import ginopic.cli\n"
+            "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+            "assert not loaded, loaded\n"
+        )
+        run_fresh(probe)
+
+    def test_preprocess_and_build_graphs_load_no_scipy(self, tmp_path):
+        write_inputs(tmp_path)
+        probe = (
+            "import sys\n"
+            "from ginopic import cli\n"
+            "assert cli.main(['preprocess', '--input', 'raw.txt', '--labels', 'labels.txt',\n"
+            "                 '--out', 'corpus.bin']) == 0\n"
+            "assert cli.main(['build-graphs', '--corpus', 'corpus.bin',\n"
+            "                 '--embeddings', 'emb.txt', '--delta', '0.5',\n"
+            "                 '--out', 'graphs.bin']) == 0\n"
+            "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+            "assert not loaded, loaded\n"
+        )
+        run_fresh(probe, cwd=tmp_path)
+        assert (tmp_path / "graphs.bin").exists()
 
     def test_errors_go_to_stderr_not_stdout(self, capsys, tmp_path):
         rc, out, err = run(capsys, ["preprocess",

@@ -394,6 +394,13 @@ class TestInferTheta:
             for i in range(0, len(docs), batch_size)])
         assert infer_theta(model, docs, gs, batch_size).tobytes() == want.tobytes()
 
+    def test_no_documents(self, tiny_data):
+        corpus, _ = tiny_data
+        model = TopicModel(len(corpus.vocabulary), small_config())
+        theta = infer_theta(model, [], [])
+        assert theta.shape == (0, 2)
+        assert theta.dtype == model.beta.dtype
+
     def test_length_mismatch(self, tiny_data):
         corpus, graphs = tiny_data
         model = TopicModel(len(corpus.vocabulary), small_config())
