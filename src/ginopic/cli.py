@@ -333,6 +333,19 @@ def _train_config_from(o, topics: int, seed: int) -> TrainConfig:
     )
 
 
+def _load_graphs(path, corpus):
+    """The graph store at `path`, checked against `corpus`: one built from
+    another corpus, or with a node id outside its vocabulary, is a DataError
+    naming the file."""
+    store = load_graph_store(path)
+    if store.corpus_sha256 != corpus.sha256 or store.split_sizes != corpus.split.sizes:
+        raise DataError("graph store was built from a different corpus", path=path)
+    ids = store.graphs.node_ids
+    if ids.size and ids.max() >= len(corpus.vocabulary):
+        raise DataError("graph node id outside the corpus vocabulary", path=path)
+    return store
+
+
 def _resolve_topics(o, corpus) -> int:
     if o.topics is not None:
         return o.topics
@@ -422,7 +435,7 @@ def _cmd_train(o) -> int:
     else:
         if not o.graphs:
             raise ConfigError("--graphs is required (or use --delta-sweep with --embeddings)")
-        store = load_graph_store(o.graphs)
+        store = _load_graphs(o.graphs, corpus)
         if o.topic_counts:
             head, table = ("topics",), "aggregate.tsv"
             runs = [(str(k), f"K{k}", _train_config_from(o, k, o.seed), store, ())
@@ -505,9 +518,7 @@ def _cmd_classify(o) -> int:
     for name in ("train", "test"):
         if not getattr(corpus.split, name):
             raise ContractError(f"{name} split is empty")
-    store = load_graph_store(o.graphs)
-    if store.corpus_sha256 != corpus.sha256:
-        raise ContractError("graph store was built from a different corpus")
+    store = _load_graphs(o.graphs, corpus)
     model = load_checkpoint(o.model, vocabulary=corpus.vocabulary)
 
     theta_train = infer_theta(model, corpus.split.train, store.train_graphs())
@@ -536,10 +547,7 @@ def _cmd_export(o) -> int:
     if o.what == "theta":
         if not o.graphs:
             raise ConfigError("--what theta needs --graphs")
-        store = load_graph_store(o.graphs)
-        if store.corpus_sha256 != corpus.sha256:
-            raise ContractError("graph store was built from a different corpus")
-        export_theta(model, corpus, store, o.out)
+        export_theta(model, corpus, _load_graphs(o.graphs, corpus), o.out)
     elif o.what == "beta":
         write_tsv(o.out, ((k, *(f"{v:.9g}" for v in row))
                           for k, row in enumerate(model.beta.data)), "beta export")

@@ -324,12 +324,6 @@ class DensityReport:
     mean_density: float
     densities: np.ndarray
 
-    def __str__(self) -> str:
-        return (
-            f"graphs: mean nodes {self.mean_nodes:.2f}, mean edges {self.mean_edges:.2f}, "
-            f"mean density {self.mean_density:.4f}"
-        )
-
 
 def graph_density_report(store: GraphStore) -> DensityReport:
     """Per-document edge density (edges over possible pairs) plus corpus means."""

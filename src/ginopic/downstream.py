@@ -165,8 +165,6 @@ def export_theta(model, corpus, graphs, path) -> None:
     from .topicmodel import infer_theta  # local import to avoid a cycle
 
     docs = corpus.split.all_documents()
-    if len(docs) != len(graphs):
-        raise ContractError(f"{len(docs)} documents but {len(graphs)} graphs")
     theta = infer_theta(model, docs, graphs.graphs)
     write_tsv(path, ((i, -1 if doc.label is None else int(doc.label), *(f"{v:.9g}" for v in row))
                      for i, (doc, row) in enumerate(zip(docs, theta))), "theta export")

@@ -109,31 +109,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single element, shape is {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    # Operator sugar.  Constants should be wrapped explicitly; only Tensor
-    # operands are accepted so nothing silently changes dtype.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{flag})"
@@ -182,9 +157,6 @@ class Tape:
 
     def owns(self, t: Tensor) -> bool:
         return id(t) in self._outputs
-
-    def backward(self, loss: Tensor) -> None:
-        backward(self, loss)
 
     def clear(self) -> None:
         self.records.clear()

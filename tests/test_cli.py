@@ -157,6 +157,28 @@ class TestPreprocess:
         assert rc == 0
         assert parse_table(out)["vocabulary"] == ["8"]
 
+    def test_config_file_boolean(self, pipeline, capsys, tmp_path):
+        args = ["preprocess", "--input", str(pipeline.root / "raw.txt"),
+                "--labels", str(pipeline.root / "labels.txt")]
+
+        def corpus_bytes(name, extra):
+            assert run(capsys, args + extra + ["--out", str(tmp_path / name)])[0] == 0
+            return (tmp_path / name).read_bytes()
+
+        def ini(value):
+            (tmp_path / f"{value}.ini").write_text(f"[preprocess]\nno_lemmatize = {value}\n")
+            return ["--config", str(tmp_path / f"{value}.ini")]
+
+        default = corpus_bytes("default.bin", [])
+        flag = corpus_bytes("flag.bin", ["--no-lemmatize"])
+        assert flag != default
+        assert corpus_bytes("yes.bin", ini("yes")) == flag
+        assert corpus_bytes("off.bin", ini("off")) == default
+        rc, _, err = run(capsys, args + ini("maybe") + ["--out", str(tmp_path / "m.bin")])
+        assert rc == 2
+        assert "expected a boolean" in err
+        assert_one_line_error(err)
+
     def test_stopwords_file(self, pipeline, capsys, tmp_path):
         stop = tmp_path / "stop.txt"
         stop.write_text("apple\n\n banana \n")
@@ -626,20 +648,6 @@ class TestClassify:
         assert_one_line_error(err)
         assert "train split is empty" in err
 
-    def test_mismatched_graph_store(self, pipeline, tmp_path, capsys):
-        half_text = "\n".join((pipeline.root / "raw.txt").read_text().split("\n")[:30])
-        (tmp_path / "half.txt").write_text(half_text + "\n")
-        half_labels = "\n".join((pipeline.root / "labels.txt").read_text().split("\n")[:30])
-        (tmp_path / "half_labels.txt").write_text(half_labels + "\n")
-        corpus2 = str(tmp_path / "half.bin")
-        rc, _, _ = run(capsys, ["preprocess", "--input", str(tmp_path / "half.txt"),
-                                "--labels", str(tmp_path / "half_labels.txt"),
-                                "--out", corpus2])
-        assert rc == 0
-        rc, _, _ = run(capsys, ["classify", "--model", pipeline.model,
-                                "--corpus", corpus2, "--graphs", pipeline.graphs])
-        assert rc == 2
-
 
 class TestExport:
     def test_theta(self, pipeline, tmp_path, capsys):
@@ -702,6 +710,50 @@ class TestExport:
                                 "--corpus", pipeline.corpus, "--what", "nonsense",
                                 "--out", str(tmp_path / "x")])
         assert rc == 2
+
+
+class TestForeignGraphStore:
+    """A graph store that does not belong to --corpus is inconsistent data:
+    every command that reads --graphs exits 3 and names the file."""
+
+    @pytest.fixture(scope="class")
+    def stores(self, pipeline, tmp_path_factory):
+        root = tmp_path_factory.mktemp("foreign")
+        for name in ("raw.txt", "labels.txt"):
+            half = (pipeline.root / name).read_text().split("\n")[:30]
+            (root / name).write_text("\n".join(half) + "\n")
+        assert main(["preprocess", "--input", str(root / "raw.txt"),
+                     "--labels", str(root / "labels.txt"),
+                     "--out", str(root / "half.bin")]) == 0
+        assert main(["build-graphs", "--corpus", str(root / "half.bin"),
+                     "--embeddings", pipeline.emb, "--delta", "0.5",
+                     "--out", str(root / "another_corpus.bin")]) == 0
+        store = load_graph_store(pipeline.graphs)
+        node_ids = store.graphs.node_ids.copy()
+        node_ids[0] = len(load_corpus(pipeline.corpus).vocabulary)
+        store.graphs = dataclasses.replace(store.graphs, node_ids=node_ids)
+        save_graph_store(store, root / "node_id_is_v.bin")
+        return root
+
+    @pytest.mark.parametrize("store", ["another_corpus", "node_id_is_v"])
+    @pytest.mark.parametrize("command", ["train", "classify", "export"])
+    def test_exit_code_names_the_file(self, pipeline, stores, tmp_path, capsys,
+                                      command, store):
+        graphs = str(stores / f"{store}.bin")
+        argv = {
+            "train": ["train", "--corpus", pipeline.corpus, "--graphs", graphs,
+                      "--topics", "2", "--epochs", "1", "--out", str(tmp_path / "r")]
+                     + TRAIN_DIMS,
+            "classify": ["classify", "--model", pipeline.model, "--corpus", pipeline.corpus,
+                         "--graphs", graphs],
+            "export": ["export", "--model", pipeline.model, "--corpus", pipeline.corpus,
+                       "--graphs", graphs, "--what", "theta", "--out", str(tmp_path / "t")],
+        }[command]
+        rc, out, err = run(capsys, argv)
+        assert rc == 3
+        assert out == ""
+        assert graphs in err
+        assert_one_line_error(err)
 
 
 class TestTextInputs:
