@@ -33,7 +33,13 @@ from .corpus import (
     load_texts,
     save_vocabulary,
 )
-from .docgraph import build_all_graphs, graph_density_report, load_graph_store, validate_delta
+from .docgraph import (
+    build_all_graphs,
+    graph_density_report,
+    load_graph_store,
+    save_graph_store,
+    validate_delta,
+)
 from .downstream import SvmConfig, evaluate_accuracy, export_theta, train_classifier
 from .embedding import load_embeddings
 from .errors import ConfigError, ContractError, DataError, GinopicError, NumericsError, ShapeError
@@ -128,7 +134,7 @@ def _resolve(args, opts, section: str, config: configparser.ConfigParser | None)
 
 
 def _load_config(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with read_text(path, "config file") as fh:
             parser.read_file(fh)
@@ -138,7 +144,7 @@ def _load_config(path) -> configparser.ConfigParser:
 
 
 def _write_config_ini(path, section: str, values: dict) -> None:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser[section] = {
         k: ("" if v is None else str(v)) for k, v in sorted(values.items())
     }
@@ -173,7 +179,7 @@ _BUILD_GRAPHS_OPTS = [
     Opt("--delta", float, help="similarity threshold in [0, 1]"),
     Opt("--preset", str, "custom", help="dataset preset supplying delta (20ng|bbc|ss|bio|so|custom)"),
     Opt("--seed", int, 0, help="seed for out-of-vocabulary embedding fill"),
-    Opt("--out", str, required=True, help="graph cache file to write"),
+    Opt("--out", str, required=True, help="graph store file to write (replaced, never read)"),
 ]
 
 _TRAIN_OPTS = [
@@ -283,7 +289,8 @@ def _cmd_build_graphs(o) -> int:
         log.warning("%d of %d vocabulary words had no pretrained vector",
                     embeddings.oov_count, len(corpus.vocabulary))
     t0 = time.perf_counter()
-    store = build_all_graphs(corpus, embeddings, delta, cache_path=o.out)
+    store = build_all_graphs(corpus, embeddings, delta)
+    save_graph_store(store, o.out)
     seconds = time.perf_counter() - t0
     log.info("graph store written to %s", o.out)
     report = graph_density_report(store)

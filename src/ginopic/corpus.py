@@ -293,8 +293,10 @@ def split_corpus(documents, ratios=(0.70, 0.15, 0.15), seed: int = 0) -> CorpusS
     documents at the default ratios split 8/1/1.
     """
     ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(1.0 - np.sum(ratios)) > 1e-9:
-        raise ConfigError(f"split ratios must be three non-negatives summing to 1, got {ratios}")
+    # `not 0 <= r <= 1` also rejects NaN, which every comparison fails
+    if len(ratios) != 3 or any(not 0 <= r <= 1 for r in ratios) or abs(1.0 - np.sum(ratios)) > 1e-9:
+        raise ConfigError(f"split ratios must be three numbers in [0, 1] summing to 1, "
+                          f"got {ratios}")
     n = len(documents)
     if n == 0:
         raise DataError("cannot split an empty corpus")

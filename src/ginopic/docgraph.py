@@ -7,12 +7,12 @@ threshold are kept).  The edge weight is that similarity.  No self-loops are
 stored; the (1+epsilon) self-contribution is added during aggregation.
 
 Similarities are quantized to float32 *before* the delta comparison so the
-float32 cache round-trips bit-for-bit and every stored weight still satisfies
+float32 file round-trips bit-for-bit and every stored weight still satisfies
 weight >= delta after reload.  Each weight is `np.float32(cosine_similarity)`
 of the two words, read from a `cosine_weights` table (the exact batched form
 of that scalar) or the `SimilarityCache` that holds one for the whole
 vocabulary.  Graph construction is a pure function of (document, embeddings,
-delta): identical inputs give byte-identical caches.
+delta): identical inputs give byte-identical files.
 
 `build_all_graphs` builds every graph in one pass over whole-corpus arrays,
 with no per-document loop.  One `np.unique` over row * V + id, with the
@@ -28,16 +28,14 @@ rule (`_clears`).
 
 A store holds all of its graphs in one `GraphColumns`: the concatenated node
 ids and edge arrays of every graph plus CSR-style pointers into them.  Build,
-cache save and load, and minibatch assembly (`gin.batch_adjacency`) work on
-these arrays whole, and the cache (GINOGRAPH2) stores them as they are, each
+store save and load, and minibatch assembly (`gin.batch_adjacency`) work on
+these arrays whole, and the file (GINOGRAPH2) stores them as they are, each
 whole after every graph's node and edge counts.  Indexing the columns with an
 int, or iterating them, gives the per-graph `DocumentGraph` value with plain
 Python tuples; a slice or an index array gives another `GraphColumns`.
 """
 from __future__ import annotations
 
-import logging
-import os
 from dataclasses import dataclass
 from itertools import chain
 
@@ -47,8 +45,6 @@ from .artifact import is_count, is_number, read_artifact, write_artifact
 from .corpus import Corpus, Document, token_rows
 from .embedding import EmbeddingMatrix, SimilarityCache, cosine_weights
 from .errors import ConfigError, ContractError, DataError
-
-log = logging.getLogger(__name__)
 
 _MAGIC = b"GINOGRAPH2\n"
 
@@ -193,7 +189,7 @@ class GraphStore:
 
     delta: float
     corpus_sha256: str
-    embedding_sha256: str
+    embedding_sha256: str  # provenance only: no check compares it
     graphs: GraphColumns
     split_sizes: tuple  # (n_train, n_validation, n_test)
 
@@ -212,50 +208,22 @@ class GraphStore:
         return self.graphs[a:]
 
 
-def build_all_graphs(
-    corpus: Corpus,
-    embeddings: EmbeddingMatrix,
-    delta: float,
-    cache_path=None,
-) -> GraphStore:
-    """Build (or reload) the graph store for every document of the corpus.
+def build_all_graphs(corpus: Corpus, embeddings: EmbeddingMatrix, delta: float) -> GraphStore:
+    """The graph store for every document of the corpus, in split order.
 
-    A cache at `cache_path` is reused only when its (corpus, embeddings,
-    delta) key matches; on mismatch or when it is unreadable it is rebuilt
-    with a logged warning.
+    A pure function of (corpus, embeddings, delta); it reads and writes no
+    file.  `save_graph_store` writes the result.
     """
     delta = validate_delta(delta)
-    corpus_hash = corpus.sha256
-    emb_hash = embeddings.sha256
-    if cache_path is not None and os.path.exists(cache_path):
-        try:
-            store = load_graph_store(cache_path)
-        except DataError as e:
-            log.warning("graph cache unreadable, rebuilding: %s", e)
-        else:
-            if (
-                store.delta == delta
-                and store.corpus_sha256 == corpus_hash
-                and store.embedding_sha256 == emb_hash
-            ):
-                return store
-            log.warning(
-                "graph cache key mismatch (delta/corpus/embeddings), rebuilding %s",
-                cache_path,
-            )
-
     graphs = _build_columns(corpus.split.all_documents(), embeddings, delta,
                             len(corpus.vocabulary))
-    store = GraphStore(
+    return GraphStore(
         delta=delta,
-        corpus_sha256=corpus_hash,
-        embedding_sha256=emb_hash,
+        corpus_sha256=corpus.sha256,
+        embedding_sha256=embeddings.sha256,
         graphs=graphs,
         split_sizes=corpus.split.sizes,
     )
-    if cache_path is not None:
-        save_graph_store(store, cache_path)
-    return store
 
 
 def _build_columns(documents, embeddings: EmbeddingMatrix, delta: float,
@@ -359,7 +327,7 @@ _HEADER_FIELDS = {
 
 
 def save_graph_store(store: GraphStore, path) -> None:
-    """Write the cache atomically (see `artifact.write_artifact`)."""
+    """Write the store atomically (see `artifact.write_artifact`)."""
     g = store.graphs
     header = {
         "version": 1,

@@ -36,6 +36,7 @@ import numpy as np
 from .artifact import write_tsv
 from .errors import ConfigError, ContractError
 from .rng import stream
+from .topicmodel import infer_theta
 
 # Steps scanned per window of _sgd_epoch: the margins of up to this many
 # pure-decay steps are computed at once.
@@ -52,10 +53,10 @@ class SvmConfig:
     def validate(self) -> None:
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.l2 < 0:
-            raise ConfigError(f"l2 must be non-negative, got {self.l2}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.l2 < np.inf:
+            raise ConfigError(f"l2 must be non-negative and finite, got {self.l2}")
 
 
 @dataclass
@@ -162,8 +163,6 @@ def export_theta(model, corpus, graphs, path) -> None:
     Proportions come from posterior-mean inference, suitable for external 2-D
     projection; no header line.
     """
-    from .topicmodel import infer_theta  # local import to avoid a cycle
-
     docs = corpus.split.all_documents()
     theta = infer_theta(model, docs, graphs.graphs)
     write_tsv(path, ((i, -1 if doc.label is None else int(doc.label), *(f"{v:.9g}" for v in row))

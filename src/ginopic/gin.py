@@ -47,6 +47,8 @@ class GinConfig:
             raise ConfigError(f"GIN stack needs at least 2 layers, got {self.layers}")
         if self.mlp_hidden_layers < 0:
             raise ConfigError("mlp_hidden_layers must be >= 0")
+        if not np.isfinite(self.epsilon):
+            raise ConfigError(f"epsilon must be finite, got {self.epsilon}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -22,8 +22,8 @@ class AdamConfig:
     eps: float = 1e-8
 
     def validate(self) -> None:
-        if self.lr <= 0:
-            raise ConfigError(f"Adam lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"Adam lr must be positive and finite, got {self.lr}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("Adam betas must lie in [0, 1)")
 

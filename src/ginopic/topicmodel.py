@@ -99,10 +99,10 @@ class TrainConfig:
             raise ConfigError("encoder_hidden and encoder_layers must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.alpha is not None and self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if self.alpha is not None and not 0 < self.alpha < np.inf:
+            raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 1:

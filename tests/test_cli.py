@@ -3,6 +3,7 @@
 All invocations go through `ginopic.cli.main` in process; stdout is the data
 channel and is parsed, stderr carries logging.
 """
+import configparser
 import dataclasses
 import json
 import os
@@ -179,6 +180,15 @@ class TestPreprocess:
         assert "expected a boolean" in err
         assert_one_line_error(err)
 
+    def test_config_values_are_literal(self, pipeline, capsys, tmp_path):
+        out = tmp_path / "50%corpus.bin"
+        ini = tmp_path / "pre.ini"
+        ini.write_text(f"[preprocess]\nout = {out}\n")
+        rc, _, err = run(capsys, ["preprocess", "--config", str(ini),
+                                  "--input", str(pipeline.root / "raw.txt")])
+        assert rc == 0, err
+        assert len(load_corpus(out).vocabulary) == 16
+
     def test_stopwords_file(self, pipeline, capsys, tmp_path):
         stop = tmp_path / "stop.txt"
         stop.write_text("apple\n\n banana \n")
@@ -288,12 +298,30 @@ class TestBuildGraphs:
             assert rc == 3, args[0]
             assert "bad magic" in err
             assert_one_line_error(err)
-        rc, _, err = run(capsys, ["build-graphs", "--corpus", pipeline.corpus,
-                                  "--embeddings", pipeline.emb, "--delta", "0.5",
-                                  "--out", str(old)])
+        rc, _, _ = run(capsys, ["build-graphs", "--corpus", pipeline.corpus,
+                                "--embeddings", pipeline.emb, "--delta", "0.5",
+                                "--out", str(old)])
         assert rc == 0
-        assert "graph cache unreadable, rebuilding" in err
         assert old.read_bytes() == open(pipeline.graphs, "rb").read()
+
+    @pytest.mark.parametrize("existing", ["flipped_last_byte", "garbage", "other_delta"])
+    def test_existing_out_is_rebuilt(self, pipeline, tmp_path, capsys, existing):
+        """`--out` is never read: whatever is there is replaced by a fresh build."""
+        out = tmp_path / "g.bin"
+        args = ["build-graphs", "--corpus", pipeline.corpus, "--embeddings", pipeline.emb,
+                "--out", str(out)]
+        want = open(pipeline.graphs, "rb").read()
+        if existing == "flipped_last_byte":  # the last weight's top byte; header intact
+            out.write_bytes(want[:-1] + bytes([want[-1] ^ 1]))
+        elif existing == "garbage":
+            out.write_bytes(b"garbage")
+        else:
+            assert run(capsys, args + ["--delta", "0.3"])[0] == 0
+            assert load_graph_store(out).delta == 0.3
+        rc, _, err = run(capsys, args + ["--delta", "0.5"])
+        assert rc == 0
+        assert "WARNING" not in err
+        assert out.read_bytes() == want
 
     def test_missing_corpus_file(self, pipeline, tmp_path, capsys):
         rc, _, _ = run(capsys, ["build-graphs", "--corpus", str(tmp_path / "no.bin"),
@@ -472,6 +500,18 @@ class TestTrain:
                                   "--out", str(tmp_path / "plain" / "sub")] + TRAIN_DIMS)
         assert rc == 3
         assert_one_line_error(err)
+
+    def test_percent_sign_in_path_reaches_config_ini(self, pipeline, tmp_path, capsys):
+        corpus = tmp_path / "50%corpus.bin"
+        corpus.write_bytes(open(pipeline.corpus, "rb").read())
+        run_dir = tmp_path / "run"
+        rc, _, err = run(capsys, ["train", "--corpus", str(corpus), "--graphs", pipeline.graphs,
+                                  "--topics", "2", "--epochs", "1", "--out", str(run_dir)]
+                         + TRAIN_DIMS)
+        assert rc == 0, err
+        echo = configparser.ConfigParser(interpolation=None)
+        echo.read(run_dir / "config.ini")
+        assert echo["train"]["corpus_path"] == str(corpus)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, pipeline, tmp_path, capsys):
@@ -754,6 +794,35 @@ class TestForeignGraphStore:
         assert out == ""
         assert graphs in err
         assert_one_line_error(err)
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("command,flag,value,named", [
+        ("classify", "--svm-lr", "nan", "lr"),
+        ("classify", "--svm-lr", "inf", "lr"),
+        ("classify", "--svm-l2", "inf", "l2"),
+        ("preprocess", "--ratios", "nan,0,1", "split ratios"),
+        ("preprocess", "--ratios", "0.7,nan,0.3", "split ratios"),
+        ("train", "--lr", "nan", "lr"),
+        ("train", "--alpha", "nan", "alpha"),
+        ("train", "--epsilon", "nan", "epsilon"),
+    ])
+    def test_exit_code_names_the_setting(self, pipeline, tmp_path, capsys,
+                                         command, flag, value, named):
+        base = {
+            "preprocess": ["--input", str(pipeline.root / "raw.txt"),
+                           "--labels", str(pipeline.root / "labels.txt")],
+            "train": ["--corpus", pipeline.corpus, "--graphs", pipeline.graphs,
+                      "--topics", "2", "--epochs", "1", *TRAIN_DIMS],
+            "classify": ["--model", pipeline.model, "--corpus", pipeline.corpus,
+                         "--graphs", pipeline.graphs, "--runs", "1", "--svm-epochs", "2"],
+        }[command]
+        rc, stdout, err = run(capsys, [command, *base, flag, value,
+                                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert stdout == ""
+        assert_one_line_error(err)
+        assert named in err.splitlines()[-1]
 
 
 class TestTextInputs:

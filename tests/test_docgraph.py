@@ -1,4 +1,4 @@
-"""Document graph construction against a brute-force reference, plus the cache."""
+"""Document graph construction against a brute-force reference, plus the store file."""
 import dataclasses
 import json
 import math
@@ -217,41 +217,13 @@ class TestGraphStore:
         assert loaded.split_sizes == store.split_sizes
         assert_same_columns(loaded.graphs, store.graphs)
 
-    def test_cache_reused_when_key_matches(self, tmp_path):
-        corpus, emb = self._setup()
-        path = tmp_path / "graphs.bin"
-        store = build_all_graphs(corpus, emb, delta=0.3, cache_path=path)
-        mtime = path.stat().st_mtime_ns
-        again = build_all_graphs(corpus, emb, delta=0.3, cache_path=path)
-        assert path.stat().st_mtime_ns == mtime  # untouched
-        assert_same_columns(again.graphs, store.graphs)
-
-    def test_cache_rebuilt_on_delta_mismatch(self, tmp_path, caplog):
-        corpus, emb = self._setup()
-        path = tmp_path / "graphs.bin"
-        build_all_graphs(corpus, emb, delta=0.3, cache_path=path)
-        with caplog.at_level("WARNING"):
-            store = build_all_graphs(corpus, emb, delta=0.5, cache_path=path)
-        assert store.delta == 0.5
-        assert "mismatch" in caplog.text
-        assert load_graph_store(path).delta == 0.5
-
-    def test_corrupt_cache_rebuilt(self, tmp_path, caplog):
-        corpus, emb = self._setup()
-        path = tmp_path / "graphs.bin"
-        path.write_bytes(b"garbage")
-        with caplog.at_level("WARNING"):
-            store = build_all_graphs(corpus, emb, delta=0.3, cache_path=path)
-        assert len(store) == len(corpus.split.all_documents())
-        assert "unreadable" in caplog.text
-
     def test_cache_and_no_cache_builds_write_identical_bytes(self, tmp_path, monkeypatch):
         corpus, emb = self._setup()
         with_cache = tmp_path / "cached.bin"
-        build_all_graphs(corpus, emb, delta=0.2, cache_path=with_cache)
+        save_graph_store(build_all_graphs(corpus, emb, delta=0.2), with_cache)
         monkeypatch.setattr(docgraph, "_SIM_CACHE_MAX_V", 0)
         without = tmp_path / "lazy.bin"
-        build_all_graphs(corpus, emb, delta=0.2, cache_path=without)
+        save_graph_store(build_all_graphs(corpus, emb, delta=0.2), without)
         assert with_cache.read_bytes() == without.read_bytes()
 
     def test_loaded_store_equals_built_one(self, tmp_path):
@@ -328,16 +300,6 @@ class TestGraphStore:
         write_with_header(path, HEADER_EDITS[edit])
         with pytest.raises(DataError):
             load_graph_store(path)
-
-    @pytest.mark.parametrize("edit", ["bad_json", "not_utf8", "missing_key"])
-    def test_malformed_header_cache_rebuilt(self, tmp_path, caplog, edit):
-        corpus, emb = self._setup()
-        path = tmp_path / "graphs.bin"
-        write_with_header(path, HEADER_EDITS[edit])
-        with caplog.at_level("WARNING"):
-            store = build_all_graphs(corpus, emb, delta=0.3, cache_path=path)
-        assert "unreadable" in caplog.text
-        assert_same_columns(load_graph_store(path).graphs, store.graphs)
 
     def test_density_report_hand_values(self):
         g3 = DocumentGraph(node_ids=(0, 1, 2),
