@@ -365,6 +365,7 @@ def _resolve_topics(o, corpus) -> int:
 def _run_one_training(corpus, store, config: TrainConfig, out_dir, paths: dict):
     """Train once and write the run directory; returns (topics, seconds, final
     epoch stats)."""
+    config.validate()  # a rejected setting leaves no run directory behind
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as e:

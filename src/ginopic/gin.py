@@ -75,9 +75,12 @@ def batch_adjacency(graphs, epsilon: float, dtype=None):
     i, j = graphs.src + offsets, graphs.dst + offsets
     total = int(graphs.node_ptr[-1])
     diag = np.arange(total)
-    rows = np.concatenate([diag, i, j])
-    cols = np.concatenate([diag, j, i])
-    vals = np.concatenate([np.full(total, 1.0 + epsilon), graphs.weight, graphs.weight])
+    # lower triangle, diagonal, upper triangle: with each graph's edges in
+    # (src, dst) order, every CSR row comes out sorted and tocsr skips the
+    # index sort; edges stored in any other order are sorted by scipy
+    rows = np.concatenate([j, diag, i])
+    cols = np.concatenate([i, diag, j])
+    vals = np.concatenate([graphs.weight, np.full(total, 1.0 + epsilon), graphs.weight])
     ids = graphs.node_ids.astype(np.int64)
     segments = np.repeat(np.arange(len(graphs)), n_nodes)
     matrix = T.SparseMatrix.from_coo(rows, cols, vals, shape=(total, total), dtype=dtype)

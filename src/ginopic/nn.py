@@ -31,7 +31,7 @@ class Linear:
                              requires_grad=True, dtype=dtype)
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
-        return T.add(T.matmul(x, self.weight), self.bias)
+        return T.linear(x, self.weight, self.bias)
 
     def parameters(self):
         return [(f"{self.name}.weight", self.weight), (f"{self.name}.bias", self.bias)]

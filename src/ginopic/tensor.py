@@ -14,15 +14,27 @@ Numerics contract: `backward` checks finiteness once per sweep, on the leaf
 gradients (tensors that track gradients but were not produced on the tape).
 Only if one is NaN/Inf does it replay the recorded backward rules to name
 the op where the non-finite value arose; a non-finite gradient toward a
-constant, or one that reaches no leaf, does not raise.  `softplus`'s
-backward is the one place that flushes subnormals: below x = -87 (float32)
-its g * sigmoid(x) falls under ``finfo.tiny`` and would slow every GEMM it
-feeds several-fold, while the parameter step it could cause rounds away.
+constant, or one that reaches no leaf, does not raise.
+
+Gradient ownership: a tensor the tape produced takes its first gradient
+without a copy when the backward rule returned a fresh C-contiguous array of
+its dtype and shape (not a view, not the output gradient passed through, not
+one array returned for two inputs), so such a gradient may hold -0.0.  Any
+other first gradient, and every leaf's, is written by `_accumulate` into a
+new array, which turns -0.0 into +0.0: a parameter's gradient outlives the
+sweep, and has the bytes of zeros + g and memory of its own.
+
+`softplus`'s backward is the one place that flushes subnormals: below
+x = -87 (float32) its g * sigmoid(x) falls under ``finfo.tiny`` and would
+slow every GEMM it feeds several-fold, while the parameter step it could
+cause rounds away.
 
 Design constraints kept deliberately tight so every backward rule stays
 auditable:
   * ops are 1-D/2-D only,
-  * no broadcasting beyond row-wise bias addition in `add`,
+  * no broadcasting beyond row-wise bias addition in `add` and `linear`,
+  * `linear` (x @ w + b, as in `nn.Linear`) is the one fused op; it computes
+    the products of `matmul` then `add`,
   * sparse matrices enter only through `spmm` with constant coefficients.
 """
 from __future__ import annotations
@@ -173,10 +185,10 @@ def active_tape():
 def _result(op: str, out_data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
     """Wrap a forward result, recording it if any input tracks gradients."""
     tape = active_tape()
-    needs = tape is not None and any(i.requires_grad for i in inputs if isinstance(i, Tensor))
+    needs = tape is not None and any(i.requires_grad for i in inputs)
     out = Tensor(out_data, requires_grad=needs, dtype=out_data.dtype)
     if needs:
-        tape.record(op, out, tuple(i for i in inputs if isinstance(i, Tensor)), backward_fn)
+        tape.record(op, out, inputs, backward_fn)
     return out
 
 
@@ -186,6 +198,14 @@ def _accumulate(t: Tensor, g) -> None:
         t.grad = np.add(g, 0, out=np.empty_like(t.data))
     else:
         t.grad += g
+
+
+def _ownable(g, t: Tensor, out_grad, grads) -> bool:
+    """Whether `g` may become the intermediate `t`'s first gradient without a
+    copy (the ownership rule in the module docstring)."""
+    return (g is not out_grad and g.base is None and g.dtype == t.data.dtype
+            and g.shape == t.data.shape and g.flags.c_contiguous
+            and [h is g for h in grads].count(True) == 1)
 
 
 def _nonfinite_op(records) -> str | None:
@@ -223,9 +243,13 @@ def backward(tape: Tape, loss: Tensor) -> None:
         for inp, g in zip(rec.inputs, grads):
             if g is None or not inp.requires_grad:
                 continue
-            _accumulate(inp, g)
             if not tape.owns(inp):
+                _accumulate(inp, g)
                 leaves[id(inp)] = inp
+            elif inp.grad is None and _ownable(g, inp, out_grad, grads):
+                inp.grad = g
+            else:
+                _accumulate(inp, g)
     if not all(np.isfinite(t.grad).all() for t in leaves.values()):
         op = _nonfinite_op(tape.records)
         raise NumericsError(f"non-finite gradient in backward of '{op}'" if op else
@@ -254,6 +278,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ b.data.T, a.data.T @ g
 
     return _result("matmul", out, (a, b), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b in one op: a (n, fan_in) batch, a (fan_in, fan_out) weight
+    and a (fan_out,) bias.  The same products as `add(matmul(x, w), b)`."""
+    _check_dtype("linear", x, w, b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
+    out = x.data @ w.data
+    out += b.data
+
+    def bw(g):
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+
+    return _result("linear", out, (x, w, b), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -592,9 +631,12 @@ def batchnorm_1d(
     if training:
         n = x.shape[0]
         mu = x.data.mean(axis=0)
-        var = x.data.var(axis=0)  # biased, matches the backward rule below
+        xc = x.data - mu
+        # biased, matches the backward rule below; np.var's own steps, so
+        # var and xhat equal x.var(0) and (x - mu) / s bit for bit
+        var = (xc * xc).sum(axis=0) / n
         s = np.sqrt(var + eps)
-        xhat = (x.data - mu) / s
+        xhat = xc / s
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         running_var *= 1.0 - momentum

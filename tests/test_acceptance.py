@@ -90,6 +90,9 @@ def _op_cases():
     )
     gamma = T.Tensor(gen.uniform(0.5, 1.5, size=(4,)), dtype=np.float64)
     beta = T.Tensor(gen.normal(size=(4,)), dtype=np.float64)
+    # drawn apart from `gen`, and the linear cases come last, so that no
+    # other case's inputs move
+    b2 = T.Tensor(stream(2, "acceptance/fd/linear").normal(size=(2,)), dtype=np.float64)
 
     def bn_train(v, g=gamma, b=beta):
         rm = np.zeros(4, dtype=np.float64)
@@ -138,6 +141,9 @@ def _op_cases():
         "batchnorm_eval": (lambda v: _weighted(
             T.batchnorm_1d(v, gamma, beta, eval_mean, eval_var, 0.1, 1e-5, False),
             "bn_eval"), x((6, 4))),
+        "linear_x": (lambda v: _weighted(T.linear(v, c42, b2), "linear_x"), x((3, 4))),
+        "linear_w": (lambda v: _weighted(T.linear(c34, v, b2), "linear_w"), x((4, 2))),
+        "linear_b": (lambda v: _weighted(T.linear(c34, c42, v), "linear_b"), x((2,))),
     }
     return cases
 

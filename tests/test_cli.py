@@ -513,6 +513,19 @@ class TestTrain:
         echo.read(run_dir / "config.ini")
         assert echo["train"]["corpus_path"] == str(corpus)
 
+    @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--dropout", "1.5"),
+                                            ("--epsilon", "nan")])
+    def test_rejected_setting_creates_no_run_directory(self, pipeline, tmp_path, capsys,
+                                                       flag, value):
+        out = tmp_path / "r"
+        rc, _, err = run(capsys, ["train", "--corpus", pipeline.corpus,
+                                  "--graphs", pipeline.graphs, "--topics", "2",
+                                  "--epochs", "1", flag, value, "--out", str(out)]
+                         + TRAIN_DIMS)
+        assert rc == 2
+        assert_one_line_error(err)
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, pipeline, tmp_path, capsys):
         rc, _, _ = run(capsys, ["train", "--corpus", pipeline.corpus,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ginopic.tensor as T
-from ginopic.docgraph import DocumentGraph
+from ginopic.docgraph import DocumentGraph, GraphColumns
 from ginopic.errors import ConfigError, ContractError, ShapeError
 from ginopic.gin import (
     GinConfig,
@@ -111,6 +111,15 @@ def random_graphs(seed, count):
     return out
 
 
+def assert_same_operator(got, want):
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(got[0].mat, attr), getattr(want[0].mat, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got[0].shape == want[0].shape
+
+
 class TestBatchAdjacencyMatchesLoop:
     @pytest.mark.parametrize("eps", [0.0, 0.1, -1.0])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -119,13 +128,22 @@ class TestBatchAdjacencyMatchesLoop:
         graphs = random_graphs(seed, 64)
         assert any(g.n_edges == 0 for g in graphs)
         assert any(g.n_edges and g.n_edges < g.n_nodes - 1 for g in graphs)
-        got, want = batch_adjacency(graphs, eps, dtype), loop_batch_adjacency(graphs, eps, dtype)
-        for a, b in zip(got[1:], want[1:]):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        for attr in ("data", "indices", "indptr"):
-            a, b = getattr(got[0].mat, attr), getattr(want[0].mat, attr)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert got[0].shape == want[0].shape
+        assert_same_operator(batch_adjacency(graphs, eps, dtype),
+                             loop_batch_adjacency(graphs, eps, dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edges_stored_in_reverse_order(self, dtype):
+        # not the (src, dst) order the COO's canonical layout relies on, so
+        # scipy has to sort the rows; the operator must not change
+        graphs = random_graphs(3, 64)
+        cols = GraphColumns.pack(graphs)
+        at = np.concatenate([np.arange(b - 1, a - 1, -1)
+                             for a, b in zip(cols.edge_ptr[:-1], cols.edge_ptr[1:])])
+        assert (at != np.arange(at.size)).any()
+        rev = GraphColumns(cols.node_ptr, cols.node_ids, cols.edge_ptr, cols.src[at],
+                           cols.dst[at], cols.weight[at], cols.delta)
+        assert_same_operator(batch_adjacency(rev, 0.1, dtype),
+                             loop_batch_adjacency(graphs, 0.1, dtype))
 
     def test_all_edgeless(self):
         graphs = [graph(3, []), graph(1, []), graph(2, [])]

@@ -12,9 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ginopic.tensor as T
+from ginopic.docgraph import build_all_graphs
 from ginopic.errors import ConfigError, ContractError, NumericsError, ShapeError
+from ginopic.gin import GinConfig
 from ginopic.optim import Adam, AdamConfig
 from ginopic.rng import stream
+from ginopic.synthetic import block_embeddings, block_topic_corpus
+from ginopic.topicmodel import TopicModel, TrainConfig
 
 F64 = np.float64
 
@@ -63,6 +67,13 @@ class TestForwardValues:
         b = t64([[5.0], [6.0]])
         assert T.matmul(a, b).data.tolist() == [[17.0], [39.0]]
         assert T.transpose(a).data.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+
+    def test_linear_validation(self):
+        x, w = t64(np.ones((2, 3))), t64(np.ones((3, 4)))
+        with pytest.raises(ShapeError, match="linear"):
+            T.linear(x, w, t64(np.ones(3)))
+        with pytest.raises(ShapeError, match="linear"):
+            T.linear(t64(np.ones(3)), w, t64(np.ones(4)))
 
     def test_add_bias_broadcast(self):
         a = t64([[1.0, 2.0], [3.0, 4.0]])
@@ -268,6 +279,24 @@ class TestBackwardRulesMatchReferenceForms:
         assert grads[0].dtype == want.dtype and grads[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_linear_equals_matmul_then_add(self, dtype, seed):
+        gen = np.random.default_rng(400 + seed)
+        n, fan_in, fan_out = (int(k) for k in gen.integers(1, 40, size=3))
+        x, w = awkward_rows(gen, (n, fan_in), dtype), awkward_rows(gen, (fan_in, fan_out), dtype)
+        b, g = awkward_rows(gen, fan_out, dtype), awkward_rows(gen, (n, fan_out), dtype)
+        xt, wt, bt = (T.Tensor(a, requires_grad=True, dtype=dtype) for a in (x, w, b))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = T.linear(xt, wt, bt).data
+            got = recorded_grads(lambda: T.linear(xt, wt, bt), g)
+            want_out = T.add(T.matmul(xt, wt), bt).data
+            want = (*recorded_grads(lambda: T.matmul(xt, wt), g),
+                    recorded_grads(lambda: T.add(T.Tensor(g, requires_grad=True), bt), g)[1])
+        assert out.tobytes() == want_out.tobytes()
+        for a, e in zip(got, want):
+            assert a.dtype == e.dtype and a.tobytes() == e.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("seed", range(10))
     def test_spmm_backward_equals_transposed_csr_product(self, dtype, seed):
         gen = np.random.default_rng(300 + seed)
@@ -389,6 +418,86 @@ class TestTapeSemantics:
         want = np.zeros_like(x.data)
         want += g
         assert x.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("twice,once", [
+        (lambda h: T.add(h, h), lambda h: T.scale(h, 2.0)),
+        # d(h * h)/dh = g*h + g*h; the taped half of 2h * h gives (g*h) * 2
+        (lambda h: T.mul(h, h), lambda h: T.mul(T.scale(h, 2.0), T.Tensor(h.data.copy()))),
+    ])
+    def test_intermediate_used_twice_matches_scale(self, twice, once):
+        # the second gradient of an intermediate adds into the first, which
+        # the sweep took without a copy; the sum must equal the doubled form
+        gen = np.random.default_rng(5)
+        x0, c, w = (gen.normal(size=(6, 3)).astype(np.float32) for _ in range(3))
+        grads = []
+        for form in (twice, once):
+            x = T.Tensor(x0, requires_grad=True)
+            with T.Tape() as tape:
+                T.backward(tape, T.sum(T.mul(form(T.mul(x, T.Tensor(c))), T.Tensor(w))))
+            grads.append(x.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
+
+    @pytest.mark.parametrize("op", [
+        lambda h: T.add_scalar(h, 1.0),   # its backward passes the output gradient on
+        lambda h: T.concat_rows([h, h]),  # its backward returns views of it
+    ], ids=["pass_through", "views"])
+    def test_intermediate_gradient_is_its_own(self, op):
+        # h takes op's gradient first and z's second; adding z's must not
+        # reach the gradient of op's output
+        gen = np.random.default_rng(6)
+        x = T.Tensor(gen.normal(size=(2, 3)), requires_grad=True)
+        with T.Tape() as tape:
+            h = T.scale(x, 1.5)
+            z = T.mul(h, T.Tensor(gen.normal(size=(2, 3))))
+            y = op(h)
+            w = T.Tensor(gen.normal(size=y.shape))
+            T.backward(tape, T.add(T.sum(T.mul(y, w)), T.sum(z)))
+        assert y.grad.tobytes() == w.data.tobytes()
+
+    def test_one_array_returned_for_two_inputs_is_copied(self):
+        x = t64([1.0, 2.0], requires_grad=True)
+        with T.Tape() as tape:
+            a, b = T.scale(x, 1.0), T.scale(x, 3.0)
+            z = T.mul(a, t64([5.0, 7.0]))
+            y = T.Tensor(a.data + b.data, requires_grad=True)
+            tape.record("a_plus_b", y, (a, b), lambda g: (g * 1.0,) * 2)
+            T.backward(tape, T.add(T.sum(y), T.sum(z)))
+        assert a.grad.tolist() == [6.0, 8.0] and b.grad.tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("rule", [
+        lambda g: (np.asfortranarray(g * 1.0),),
+        lambda g: ((g * 1.0).astype(np.float64),),
+        lambda g: (g.sum(axis=0, keepdims=True),),
+    ], ids=["fortran_order", "other_dtype", "broadcast_shape"])
+    def test_intermediate_gradient_has_its_tensors_layout(self, rule):
+        # a fresh array in another layout is copied, not taken: the BLAS
+        # products it feeds must see the operand layout they always saw
+        x = T.Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        with T.Tape() as tape:
+            h = T.scale(x, 2.0)
+            y = T.Tensor(h.data.copy(), requires_grad=True)
+            tape.record("custom", y, (h,), rule)
+            T.backward(tape, T.sum(y))
+        assert h.grad.dtype == h.dtype and h.grad.shape == h.shape
+        assert h.grad.flags.c_contiguous
+
+    def test_parameter_gradients_share_no_memory(self):
+        corpus = block_topic_corpus(seed=1, n_docs=12, n_topics=2, words_per_topic=4,
+                                    doc_len=(4, 8))
+        store = build_all_graphs(corpus, block_embeddings(corpus.vocabulary, 2, 4, within=0.8),
+                                 delta=0.3)
+        config = TrainConfig(topics=2, gin=GinConfig(tau=3, hidden=4, tau_out=3),
+                             encoder_hidden=5, epochs=1, batch_size=8, seed=7)
+        model = TopicModel(len(corpus.vocabulary), config)
+        with T.Tape() as tape:
+            out = model.forward_batch(corpus.split.train, store.train_graphs(), training=True,
+                                      noise_rng=stream(5, "noise"), dropout_rng=stream(6, "drop"))
+            T.backward(tape, out.total)
+        params = [p for _, p in model.parameters()]
+        assert all(p.grad is not None for p in params)
+        for i, p in enumerate(params):
+            for q in params[i + 1:]:
+                assert not np.shares_memory(p.grad, q.grad)
 
     def test_chained_matmul_gradient_hand_value(self):
         # loss = sum(a @ b): dl/da = ones @ b.T
@@ -695,3 +804,23 @@ def test_matmul_gradient_property(n, m, seed):
         T.backward(tape, loss)
     # d sum(x@b) / dx = ones @ b.T, independent of x
     assert np.allclose(x.grad, np.ones((n, n)) @ b.data.T)
+
+
+@given(
+    st.integers(1, 4096), st.integers(1, 64), st.sampled_from([np.float32, np.float64]),
+    st.integers(0, 2 ** 31 - 1),
+)
+def test_batchnorm_statistics_equal_var_and_centered_quotient(n, d, dtype, seed):
+    # training batchnorm computes x - mu once and takes its variance from
+    # it; the results must be the bytes of x.var(0) and (x - mu) / s
+    gen = np.random.default_rng(seed)
+    x = (gen.normal(size=(n, d)) * 10.0 ** gen.integers(-3, 3, size=d)
+         + gen.normal(size=d) * 10.0 ** gen.integers(-2, 4, size=d)).astype(dtype)
+    gamma, beta = np.ones(d, dtype), np.zeros(d, dtype)
+    running_var = np.zeros(d, dtype)
+    out = T.batchnorm_1d(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta), np.zeros(d, dtype),
+                         running_var, 1.0, 1e-5, training=True).data
+    var = x.var(axis=0)
+    xhat = (x - x.mean(axis=0)) / np.sqrt(var + 1e-5)
+    assert running_var.tobytes() == var.tobytes()
+    assert out.tobytes() == (gamma * xhat + beta).tobytes()
