@@ -326,7 +326,9 @@ def _gin_config_from(o) -> GinConfig:
 
 
 def _train_config_from(o, topics: int, seed: int) -> TrainConfig:
-    return TrainConfig(
+    """The run's config, validated, so a batch with a rejected setting fails
+    before its first run starts and leaves no run directory behind."""
+    config = TrainConfig(
         topics=topics,
         gin=_gin_config_from(o),
         encoder_hidden=o.encoder_hidden,
@@ -338,6 +340,8 @@ def _train_config_from(o, topics: int, seed: int) -> TrainConfig:
         epochs=o.epochs,
         seed=seed,
     )
+    config.validate()
+    return config
 
 
 def _load_graphs(path, corpus):
@@ -365,7 +369,6 @@ def _resolve_topics(o, corpus) -> int:
 def _run_one_training(corpus, store, config: TrainConfig, out_dir, paths: dict):
     """Train once and write the run directory; returns (topics, seconds, final
     epoch stats)."""
-    config.validate()  # a rejected setting leaves no run directory behind
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as e:
@@ -378,6 +381,7 @@ def _run_one_training(corpus, store, config: TrainConfig, out_dir, paths: dict):
     save_checkpoint(result.model, os.path.join(out_dir, "model.ckpt"))
     save_history(result.history, os.path.join(out_dir, "epochs.tsv"))
     save_topics(topics, os.path.join(out_dir, "topics.txt"))
+    config = result.model.config  # with the store's delta
     echo = {k: v for k, v in config.to_dict().items() if k != "gin"}
     echo.update({f"gin_{k}": v for k, v in config.gin.to_dict().items()})
     echo.update(paths)
@@ -415,15 +419,14 @@ def _topic_counts(o, corpus) -> list:
     return counts
 
 
-def _sweep_runs(o, corpus, embeddings, deltas, topics_k):
-    """One delta-sweep run per delta; each graph store is built only when its
-    run comes up, so one store at a time is held."""
+def _sweep_runs(corpus, embeddings, deltas, config):
+    """One delta-sweep run per delta, all with `config`; each graph store is
+    built only when its run comes up, so one store at a time is held."""
     for delta in deltas:
         t0 = time.perf_counter()
         store = build_all_graphs(corpus, embeddings, delta)
         build_s = time.perf_counter() - t0
         cells = (f"{graph_density_report(store).mean_edges:.3f}", f"{build_s:.3f}")
-        config = _train_config_from(o, topics_k, o.seed)
         yield f"{delta:g}", f"delta{delta:g}", config, store, cells
 
 
@@ -439,7 +442,8 @@ def _cmd_train(o) -> int:
         deltas = [validate_delta(d) for d in o.delta_sweep]
         embeddings = load_embeddings(o.embeddings, corpus.vocabulary, seed=o.seed)
         head, table = ("delta", "mean_edges", "build_seconds"), "sweep.tsv"
-        runs = _sweep_runs(o, corpus, embeddings, deltas, _resolve_topics(o, corpus))
+        config = _train_config_from(o, _resolve_topics(o, corpus), o.seed)
+        runs = _sweep_runs(corpus, embeddings, deltas, config)
     else:
         if not o.graphs:
             raise ConfigError("--graphs is required (or use --delta-sweep with --embeddings)")

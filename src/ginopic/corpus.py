@@ -107,12 +107,6 @@ class Document:
     def __len__(self) -> int:
         return int(self.token_ids.size)
 
-    @property
-    def distinct_ids(self) -> np.ndarray:
-        """Distinct token ids in first-occurrence order (graph node order)."""
-        _, first = np.unique(self.token_ids, return_index=True)
-        return self.token_ids[np.sort(first)]
-
 
 @dataclass
 class CorpusSplit:

@@ -10,21 +10,22 @@ Similarities are quantized to float32 *before* the delta comparison so the
 float32 file round-trips bit-for-bit and every stored weight still satisfies
 weight >= delta after reload.  Each weight is `np.float32(cosine_similarity)`
 of the two words, read from a `cosine_weights` table (the exact batched form
-of that scalar) or the `SimilarityCache` that holds one for the whole
-vocabulary.  Graph construction is a pure function of (document, embeddings,
-delta): identical inputs give byte-identical files.
+of that scalar, whatever other words the table holds).  Graph construction
+is a pure function of (document, embeddings, delta): identical inputs give
+byte-identical files.
 
-`build_all_graphs` builds every graph in one pass over whole-corpus arrays,
-with no per-document loop.  One `np.unique` over row * V + id, with the
-first positions sorted back into token order, gives every document's nodes
-in first-occurrence order.  Node k of a document of nodes s..e-1 pairs with
-nodes k+1..e-1, so the pairs of all nodes in turn are every document's
-pairs i < j in row-major order; `_PAIR_CHUNK` of them at a time are made by
-`np.repeat` arithmetic on their pointers, gathered from the table and
-thresholded.  A vocabulary larger than `_SIM_CACHE_MAX_V` has no shared
-table: each document gets a table of its own distinct words.
-`build_document_graph` builds one graph on its own, by the same threshold
-rule (`_clears`).
+There is one builder, `_build_columns`: `build_all_graphs` runs it on the
+whole corpus and `build_document_graph` on one document.  It builds every
+graph in one pass over whole-corpus arrays, with no per-document loop.  One
+`np.unique` over row * V + id, with the first positions sorted back into
+token order, gives every document's nodes in first-occurrence order.  Node k
+of a document of nodes s..e-1 pairs with nodes k+1..e-1, so the pairs of all
+nodes in turn are every document's pairs i < j in row-major order;
+`_PAIR_CHUNK` of them at a time are made by `np.repeat` arithmetic on their
+pointers, gathered from the table and thresholded.  The table is one
+`SimilarityCache` of the words the documents hold, when there are at most
+`_SIM_CACHE_MAX_V` of them; otherwise each document gets a table of its own
+distinct words.
 
 A store holds all of its graphs in one `GraphColumns`: the concatenated node
 ids and edge arrays of every graph plus CSR-style pointers into them.  Build,
@@ -48,8 +49,8 @@ from .errors import ConfigError, ContractError, DataError
 
 _MAGIC = b"GINOGRAPH2\n"
 
-# SimilarityCache is quadratic in V; above this size each document computes
-# a table of its own distinct words.
+# SimilarityCache is quadratic in the words it holds; above this many held
+# words each document computes a table of its own distinct words.
 _SIM_CACHE_MAX_V = 3000
 # Pairs are gathered and thresholded this many at a time, so the build's
 # temporaries stay a few MB on any corpus.
@@ -62,7 +63,6 @@ class DocumentGraph:
 
     node_ids: tuple        # vocabulary ids, first-occurrence order
     adjacency: tuple       # (i, j, weight) with i < j, node-local indices
-    delta: float
 
     @property
     def n_nodes(self) -> int:
@@ -71,15 +71,6 @@ class DocumentGraph:
     @property
     def n_edges(self) -> int:
         return len(self.adjacency)
-
-    def to_dense(self) -> np.ndarray:
-        """Symmetric dense adjacency (float64), zero diagonal."""
-        n = self.n_nodes
-        a = np.zeros((n, n), dtype=np.float64)
-        for i, j, w in self.adjacency:
-            a[i, j] = w
-            a[j, i] = w
-        return a
 
 
 def _ptr(counts) -> np.ndarray:
@@ -106,11 +97,10 @@ class GraphColumns:
     src: np.ndarray
     dst: np.ndarray
     weight: np.ndarray
-    delta: float
 
     @classmethod
     def pack(cls, graphs) -> "GraphColumns":
-        """The columns of a list of `DocumentGraph`s, with the first one's delta."""
+        """The columns of a list of `DocumentGraph`s."""
         node_ptr = _ptr([g.n_nodes for g in graphs])
         edge_ptr = _ptr([g.n_edges for g in graphs])
         node_ids = np.fromiter(chain.from_iterable(g.node_ids for g in graphs),
@@ -119,7 +109,7 @@ class GraphColumns:
                             dtype=[("i", "<u4"), ("j", "<u4"), ("w", np.float64)],
                             count=int(edge_ptr[-1]))
         return cls(node_ptr, node_ids, edge_ptr, edges["i"].copy(), edges["j"].copy(),
-                   edges["w"].copy(), graphs[0].delta if graphs else 0.0)
+                   edges["w"].copy())
 
     def __len__(self) -> int:
         return self.node_ptr.size - 1
@@ -133,13 +123,12 @@ class GraphColumns:
                 node_ids=tuple(self.node_ids[a:b].tolist()),
                 adjacency=tuple(zip(self.src[e:f].tolist(), self.dst[e:f].tolist(),
                                     self.weight[e:f].tolist())),
-                delta=self.delta,
             )
         idx = np.arange(len(self))[key]
         node_ptr, node_at = _take(self.node_ptr, idx)
         edge_ptr, edge_at = _take(self.edge_ptr, idx)
         return GraphColumns(node_ptr, self.node_ids[node_at], edge_ptr, self.src[edge_at],
-                            self.dst[edge_at], self.weight[edge_at], self.delta)
+                            self.dst[edge_at], self.weight[edge_at])
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -159,28 +148,11 @@ def validate_delta(delta: float) -> float:
     return delta
 
 
-def _clears(weights, delta: float) -> np.ndarray:
-    """Mask of the float32 `weights` that are >= delta: the one threshold rule."""
-    # np.float64: a Python float would compare in float32 and keep
-    # weights float32(delta) < delta
-    return weights >= np.float64(delta)
-
-
-def build_document_graph(
-    document: Document,
-    embeddings: EmbeddingMatrix,
-    delta: float,
-) -> DocumentGraph:
-    """Threshold all word pairs of one document at delta."""
-    delta = validate_delta(delta)
-    node_ids = document.distinct_ids
-    block = cosine_weights(embeddings.vectors[node_ids])
-    i, j = np.nonzero(np.triu(_clears(block, delta), 1))
-    return DocumentGraph(
-        node_ids=tuple(node_ids.tolist()),
-        adjacency=tuple(zip(i.tolist(), j.tolist(), block[i, j].tolist())),
-        delta=delta,
-    )
+def build_document_graph(document: Document, embeddings: EmbeddingMatrix,
+                         delta: float) -> DocumentGraph:
+    """Threshold all word pairs of one document at delta, by the build
+    `build_all_graphs` runs."""
+    return _build_columns([document], embeddings, validate_delta(delta))[0]
 
 
 @dataclass
@@ -212,11 +184,13 @@ def build_all_graphs(corpus: Corpus, embeddings: EmbeddingMatrix, delta: float) 
     """The graph store for every document of the corpus, in split order.
 
     A pure function of (corpus, embeddings, delta); it reads and writes no
-    file.  `save_graph_store` writes the result.
+    file.  `save_graph_store` writes the result.  The embeddings must be
+    aligned to the corpus's vocabulary.
     """
     delta = validate_delta(delta)
-    graphs = _build_columns(corpus.split.all_documents(), embeddings, delta,
-                            len(corpus.vocabulary))
+    if embeddings.vocabulary.words != corpus.vocabulary.words:
+        raise ContractError("embeddings are aligned to another vocabulary than the corpus's")
+    graphs = _build_columns(corpus.split.all_documents(), embeddings, delta)
     return GraphStore(
         delta=delta,
         corpus_sha256=corpus.sha256,
@@ -226,31 +200,30 @@ def build_all_graphs(corpus: Corpus, embeddings: EmbeddingMatrix, delta: float) 
     )
 
 
-def _build_columns(documents, embeddings: EmbeddingMatrix, delta: float,
-                   vocab_size: int) -> GraphColumns:
+def _build_columns(documents, embeddings: EmbeddingMatrix, delta: float) -> GraphColumns:
     """Every document's graph from whole-corpus arrays (see the module docstring)."""
-    # the shared table first, so its build's temporaries overlap no node arrays
-    shared = SimilarityCache(embeddings).table if vocab_size <= _SIM_CACHE_MAX_V else None
-    node_ids, node_doc = _nodes(documents, vocab_size)
+    node_ids, node_doc = _nodes(documents, len(embeddings.vectors))
     node_ptr = _ptr(np.bincount(node_doc, minlength=len(documents)))
-    start = node_ptr[node_doc]                # each node's document's first node
     # node k pairs with the later nodes of its document: pair_ptr[k + 1] - pair_ptr[k]
     # of them, so the pairs of node k, then node k + 1, ... are row-major
     pair_ptr = _ptr(node_ptr[node_doc + 1] - 1 - np.arange(node_ids.size))
     src, dst, weight = [], [], []
     n_edges = np.zeros(len(documents), np.int64)
-    for a, b, table, ids in _runs(node_ids, node_ptr, embeddings, shared):
+    for a, b, table, ids in _runs(node_ids, node_ptr, embeddings):
         for lo in range(pair_ptr[a], pair_ptr[b], _PAIR_CHUNK):
             i, j = _pairs(pair_ptr, lo, min(lo + _PAIR_CHUNK, pair_ptr[b]))
             w = table[ids[i - a], ids[j - a]]
-            keep = _clears(w, delta)
+            # np.float64: a Python float would compare in float32 and keep
+            # weights float32(delta) < delta
+            keep = w >= np.float64(delta)
             i, j = i[keep], j[keep]
-            src.append((i - start[i]).astype("<u4"))
-            dst.append((j - start[i]).astype("<u4"))
+            doc = node_doc[i]
+            src.append((i - node_ptr[doc]).astype("<u4"))
+            dst.append((j - node_ptr[doc]).astype("<u4"))
             weight.append(w[keep])
-            np.add.at(n_edges, node_doc[i], 1)
+            np.add.at(n_edges, doc, 1)
     return GraphColumns(node_ptr, node_ids.astype("<u4"), _ptr(n_edges), _cat(src, "<u4"),
-                        _cat(dst, "<u4"), _cat(weight, np.float64), delta)
+                        _cat(dst, "<u4"), _cat(weight, np.float64))
 
 
 def _nodes(documents, vocab_size: int):
@@ -262,16 +235,19 @@ def _nodes(documents, vocab_size: int):
     return tokens[first], rows[first]
 
 
-def _runs(node_ids, node_ptr, embeddings: EmbeddingMatrix, shared):
+def _runs(node_ids, node_ptr, embeddings: EmbeddingMatrix):
     """(a, b, table, ids) per run of whole documents, nodes a..b-1: node k's
     word is row and column ids[k - a] of the float32 cosine table.  One run
-    over the `shared` whole-vocabulary table if there is one; else one run
-    per document, with a table of its own distinct words."""
-    if shared is not None:
-        yield 0, node_ids.size, shared, node_ids
+    over a `SimilarityCache` of the words the documents hold, if there are at
+    most `_SIM_CACHE_MAX_V` of them; else one run per document, with a table
+    of its own distinct words."""
+    present = np.bincount(node_ids, minlength=len(embeddings.vectors)) > 0
+    if present.sum() <= _SIM_CACHE_MAX_V:
+        table = SimilarityCache(embeddings, np.flatnonzero(present)).table
+        yield 0, node_ids.size, table, (np.cumsum(present) - 1)[node_ids]
         return
     for a, b in zip(node_ptr[:-1].tolist(), node_ptr[1:].tolist()):
-        yield a, b, cosine_weights(embeddings.vectors[node_ids[a:b]]), np.arange(b - a)
+        yield a, b, cosine_weights(embeddings.vectors, node_ids[a:b]), np.arange(b - a)
 
 
 def _pairs(pair_ptr, lo: int, hi: int):
@@ -358,7 +334,7 @@ def load_graph_store(path) -> GraphStore:
     if not ((src < dst).all() and (dst < np.repeat(n_nodes, n_edges)).all()):
         raise DataError("graph cache edge is not (i, j) with i < j < its graph's nodes",
                         path=path)
-    graphs = GraphColumns(node_ptr, node_ids, edge_ptr, src, dst, weight, header["delta"])
+    graphs = GraphColumns(node_ptr, node_ids, edge_ptr, src, dst, weight)
     return GraphStore(
         delta=header["delta"],
         corpus_sha256=header["corpus_sha256"],

@@ -161,42 +161,44 @@ def _raise_first_bad_line(chunk, lineno, dim, converters, path):
 _TILE = 256
 
 
-def cosine_weights(vectors) -> np.ndarray:
-    """float32 cosine of every pair of rows, equal to the scalar reference.
+def cosine_weights(vectors, ids) -> np.ndarray:
+    """float32 cosine of every pair of the rows `ids` of `vectors`, equal to
+    the scalar reference.
 
-    Entry (i, j) is exactly `np.float32(cosine_similarity(vectors[i],
-    vectors[j]))`.  Work goes in _TILE x _TILE blocks of the float64 Gram
-    product, so no full float64 copy of the rows is held.  A Gram product
-    sums in another order than `np.dot`, so each entry carries the error
-    bound (2 dim + 8) eps (sum |u_k v_k| / (|u| |v|) + |c|); an entry whose
-    bound straddles a float32 rounding boundary (a few dozen of the 45,000
-    pairs of 300 random 300-d normals) is recomputed with
-    `cosine_similarity` itself.  Exact zeros from disjoint supports have a
-    zero bound and are never recomputed.
+    Entry (i, j) is exactly `np.float32(cosine_similarity(vectors[ids[i]],
+    vectors[ids[j]]))`, whatever the other ids are.  Work goes in _TILE x
+    _TILE blocks of the float64 Gram product, each gathering its own rows,
+    so no whole copy of the rows is held.  A Gram product sums in another
+    order than `np.dot`, so each entry carries the error bound
+    (2 dim + 8) eps (sum |u_k v_k| / (|u| |v|) + |c|); an entry whose bound
+    straddles a float32 rounding boundary (a few dozen of the 45,000 pairs
+    of 300 random 300-d normals) is recomputed with `cosine_similarity`
+    itself.  Exact zeros from disjoint supports have a zero bound and are
+    never recomputed.
     """
     rows = np.asarray(vectors, dtype=np.float32)
-    n, dim = rows.shape
+    n, dim = len(ids), rows.shape[1]
     out = np.empty((n, n), dtype=np.float32)
     slack = (2 * dim + 8) * np.finfo(np.float64).eps
     starts = range(0, n, _TILE)
     for r0 in starts:
-        a = rows[r0: r0 + _TILE].astype(np.float64)
+        a = rows[ids[r0: r0 + _TILE]].astype(np.float64)
         a_abs = np.abs(a)
         a_norm = np.sqrt(np.einsum("ij,ij->i", a, a))
         for c0 in range(r0, n, _TILE):
-            b = rows[c0: c0 + _TILE].astype(np.float64)
+            b = rows[ids[c0: c0 + _TILE]].astype(np.float64)
             b_norm = np.sqrt(np.einsum("ij,ij->i", b, b))
             norms = np.multiply.outer(a_norm, b_norm)
             nonzero = norms != 0.0
             cos = np.divide(a @ b.T, norms, out=np.zeros_like(norms), where=nonzero)
-            bound = np.divide(a_abs @ np.abs(b).T, norms, out=np.zeros_like(norms),
+            bound = np.divide(a_abs @ np.abs(b, out=b).T, norms, out=np.zeros_like(norms),
                               where=nonzero)
             bound = slack * (bound + np.abs(cos))
             block = np.clip(cos, -1.0, 1.0).astype(np.float32)
             lo = np.clip(cos - bound, -1.0, 1.0).astype(np.float32)
             hi = np.clip(cos + bound, -1.0, 1.0).astype(np.float32)
             for i, j in zip(*np.nonzero(lo != hi)):
-                block[i, j] = cosine_similarity(rows[r0 + i], rows[c0 + j])
+                block[i, j] = cosine_similarity(rows[ids[r0 + i]], rows[ids[c0 + j]])
             out[r0: r0 + _TILE, c0: c0 + _TILE] = block
             # cosine_similarity is symmetric bit for bit, so mirror the block
             out[c0: c0 + _TILE, r0: r0 + _TILE] = block.T
@@ -204,12 +206,13 @@ def cosine_weights(vectors) -> np.ndarray:
 
 
 class SimilarityCache:
-    """All-pairs float32 cosine table: the weights document graphs store.
+    """Float32 cosine table of the words `ids`: the weights document graphs store.
 
-    Built by `cosine_weights`, so each entry is the float32 rounding of
-    `cosine_similarity`.  Quadratic in V; intended for vocabularies of a few
-    thousand words.
+    Entry (i, j) is the float32 rounding of `cosine_similarity` of words
+    ids[i] and ids[j], as `cosine_weights` builds it, whatever other words
+    the table holds.  Quadratic in len(ids); intended for a few thousand
+    words.
     """
 
-    def __init__(self, embeddings: EmbeddingMatrix):
-        self.table = cosine_weights(embeddings.vectors)
+    def __init__(self, embeddings: EmbeddingMatrix, ids):
+        self.table = cosine_weights(embeddings.vectors, ids)

@@ -26,7 +26,7 @@ and the loss is the batch mean of their sum.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -330,7 +330,8 @@ def train(corpus: Corpus, graphs: GraphStore, config: TrainConfig) -> TrainResul
         )
     if graphs.corpus_sha256 != corpus.sha256:
         raise ContractError("graph store was built from a different corpus")
-    config.delta = graphs.delta
+    # a copy, so the caller's config and earlier models keep their delta
+    config = replace(config, delta=graphs.delta)
 
     model = TopicModel(len(corpus.vocabulary), config, vocab_sha256=corpus.vocabulary.sha256)
     optimizer = Adam(model.parameters(), AdamConfig(lr=config.lr))

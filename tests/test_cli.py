@@ -340,6 +340,7 @@ class TestTrain:
         config = open(os.path.join(pipeline.run, "config.ini")).read()
         assert "topics = 2" in config
         assert "gin_tau = 4" in config
+        assert "delta = 0.5" in config
 
     def test_same_seed_bitwise_checkpoint(self, pipeline, tmp_path, capsys):
         args = ["train", "--corpus", pipeline.corpus, "--graphs", pipeline.graphs,
@@ -524,6 +525,17 @@ class TestTrain:
                          + TRAIN_DIMS)
         assert rc == 2
         assert_one_line_error(err)
+        assert not out.exists()
+
+    def test_bad_topic_count_fails_before_any_run(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "bycount"
+        rc, stdout, err = run(capsys, ["train", "--corpus", pipeline.corpus,
+                                       "--graphs", pipeline.graphs, "--epochs", "1",
+                                       "--topic-counts", "3,1", "--out", str(out)]
+                              + TRAIN_DIMS)
+        assert rc == 2
+        assert_one_line_error(err)
+        assert stdout == ""
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

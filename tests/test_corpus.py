@@ -486,10 +486,6 @@ class TestCorpusCache:
 
 
 class TestDocument:
-    def test_distinct_ids_first_occurrence_order(self):
-        doc = make_document([4, 2, 4, 7, 2])
-        assert doc.distinct_ids.tolist() == [4, 2, 7]
-
     def test_vocabulary_rejects_duplicates(self):
         with pytest.raises(ContractError):
             Vocabulary(words=["aa", "aa"], doc_frequency=np.array([1, 1]))

@@ -22,6 +22,7 @@ from ginopic.docgraph import (
     save_graph_store,
     validate_delta,
 )
+from ginopic.embedding import cosine_weights
 from ginopic.errors import ConfigError, ContractError, DataError
 
 from conftest import load_under_limit, make_document, make_embeddings, make_vocabulary
@@ -146,6 +147,12 @@ class TestBuildDocumentGraph:
         g = build_document_graph(make_document([2, 2, 2]), emb, delta=0.5)
         assert g.node_ids == (2,) and g.n_edges == 0
 
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_token_id_outside_embeddings_rejected(self, bad):
+        emb = random_embeddings(5, 3, seed=0)
+        with pytest.raises(ContractError, match="5-word vocabulary"):
+            build_document_graph(make_document([0, bad, 1]), emb, delta=0.2)
+
     def test_delta_validation(self):
         emb = random_embeddings(3, 2, seed=0)
         for bad in (-0.1, 1.5):
@@ -203,7 +210,7 @@ class TestGraphStore:
         assert len(store.validation_graphs()) == corpus.split.sizes[1]
         assert len(store.test_graphs()) == corpus.split.sizes[2]
         for doc, g in zip(corpus.split.all_documents(), store.graphs):
-            assert g.node_ids == tuple(int(x) for x in doc.distinct_ids)
+            assert g.node_ids == brute_force_graph(doc, emb, 0.2)[0]
 
     def test_round_trip_bitwise(self, tmp_path):
         corpus, emb = self._setup()
@@ -282,8 +289,7 @@ class TestGraphStore:
     def test_edge_outside_its_graph_is_data_error(self, tmp_path, edge):
         corpus, emb = self._setup()
         store = build_all_graphs(corpus, emb, delta=0.3)
-        bad = DocumentGraph(node_ids=(0, 1, 2), adjacency=((0, 1, 0.5), (*edge, 0.5)),
-                            delta=0.3)
+        bad = DocumentGraph(node_ids=(0, 1, 2), adjacency=((0, 1, 0.5), (*edge, 0.5)))
         path = tmp_path / "graphs.bin"
         save_graph_store(GraphStore(delta=0.3, corpus_sha256="x", embedding_sha256="y",
                                     graphs=GraphColumns.pack([*store.graphs][:-1] + [bad]),
@@ -303,8 +309,8 @@ class TestGraphStore:
 
     def test_density_report_hand_values(self):
         g3 = DocumentGraph(node_ids=(0, 1, 2),
-                           adjacency=((0, 1, 0.5), (1, 2, 0.5)), delta=0.0)
-        g1 = DocumentGraph(node_ids=(4,), adjacency=(), delta=0.0)
+                           adjacency=((0, 1, 0.5), (1, 2, 0.5)))
+        g1 = DocumentGraph(node_ids=(4,), adjacency=())
         store = GraphStore(delta=0.0, corpus_sha256="x", embedding_sha256="y",
                            graphs=GraphColumns.pack([g3, g1]), split_sizes=(2, 0, 0))
         report = graph_density_report(store)
@@ -396,7 +402,7 @@ def random_store(seed):
         keep = gen.random(len(pairs)) < gen.choice([0.0, 0.3, 0.9])
         adjacency = tuple((i, j, float(gen.random())) for (i, j), k in zip(pairs, keep) if k)
         ids = tuple(gen.choice(2 ** 32 - 1 if seed % 2 else 50, size=n, replace=False).tolist())
-        graphs.append(DocumentGraph(node_ids=ids, adjacency=adjacency, delta=0.25))
+        graphs.append(DocumentGraph(node_ids=ids, adjacency=adjacency))
     cut = int(gen.integers(0, len(graphs) + 1))
     sizes = [(cut, 0, len(graphs) - cut), (0, cut, len(graphs) - cut),
              (cut, len(graphs) - cut, 0)][seed % 3]
@@ -417,9 +423,9 @@ def test_cache_bytes_equal_per_graph_writer(tmp_path, seed):
 
 
 def test_cache_bytes_cover_edgeless_and_one_node_graphs(tmp_path):
-    graphs = [DocumentGraph(node_ids=(7,), adjacency=(), delta=0.5),
-              DocumentGraph(node_ids=(3, 1, 2), adjacency=(), delta=0.5),
-              DocumentGraph(node_ids=(0, 4), adjacency=((0, 1, 0.75),), delta=0.5)]
+    graphs = [DocumentGraph(node_ids=(7,), adjacency=()),
+              DocumentGraph(node_ids=(3, 1, 2), adjacency=()),
+              DocumentGraph(node_ids=(0, 4), adjacency=((0, 1, 0.75),))]
     store = GraphStore(delta=0.5, corpus_sha256="c", embedding_sha256="e",
                        graphs=GraphColumns.pack(graphs), split_sizes=(2, 0, 1))
     path = tmp_path / "graphs.bin"
@@ -439,7 +445,7 @@ def test_load_of_save_of_build_round_trips(tmp_path):
     save_graph_store(store, path)
     loaded = load_graph_store(path)
     assert_same_columns(loaded.graphs, store.graphs)
-    assert loaded.graphs.delta == store.graphs.delta == 0.1
+    assert loaded.delta == store.delta == 0.1
     want = [build_document_graph(d, emb, 0.1) for d in corpus.split.all_documents()]
     assert list(store.graphs) == want
     assert list(loaded.graphs) == want
@@ -544,10 +550,67 @@ def test_one_pass_build_equals_default_and_brute_force(monkeypatch, chunk, max_v
     corpus, emb = one_pass_corpus()
     want = build_all_graphs(corpus, emb, delta=0.2).graphs
     docs = corpus.split.all_documents()
-    assert list(want) == [DocumentGraph(*brute_force_graph(d, emb, 0.2), delta=0.2)
-                          for d in docs]
+    assert list(want) == [DocumentGraph(*brute_force_graph(d, emb, 0.2)) for d in docs]
     assert 0 < want.edge_ptr[-1] < want.node_ptr[-1] ** 2
     for name, value in [("_PAIR_CHUNK", chunk), ("_SIM_CACHE_MAX_V", max_v)]:
         if value is not None:
             monkeypatch.setattr(docgraph, name, value)
     assert_same_columns(build_all_graphs(corpus, emb, delta=0.2).graphs, want)
+
+
+def corpus_of(doc_ids, v, seed=0):
+    """A corpus of one train document per id list over a v-word vocabulary,
+    with random 4-d embeddings."""
+    vocab = make_vocabulary([f"w{i}" for i in range(v)])
+    docs = [make_document(ids) for ids in doc_ids]
+    corpus = Corpus(vocabulary=vocab, split=CorpusSplit(train=docs, validation=[], test=[]),
+                    options={}, seed=0, ratios=(1.0, 0.0, 0.0))
+    return corpus, make_embeddings(vocab, np.random.default_rng(seed).normal(size=(v, 4)))
+
+
+def spy_tables(monkeypatch):
+    """Shapes of the `SimilarityCache` tables and of the per-document tables
+    the build makes, as two lists filled while it runs."""
+    shared, own = [], []
+
+    class Spy(docgraph.SimilarityCache):
+        def __init__(self, embeddings, ids):
+            super().__init__(embeddings, ids)
+            shared.append(self.table.shape)
+
+    def spy_weights(vectors, ids):
+        own.append(len(ids))
+        return cosine_weights(vectors, ids)
+
+    monkeypatch.setattr(docgraph, "SimilarityCache", Spy)
+    monkeypatch.setattr(docgraph, "cosine_weights", spy_weights)
+    return shared, own
+
+
+def test_table_holds_only_the_words_documents_hold(monkeypatch):
+    corpus, emb = corpus_of([[41, 7, 41, 19]], v=50)
+    shared, own = spy_tables(monkeypatch)
+    store = build_all_graphs(corpus, emb, delta=0.0)
+    assert shared == [(3, 3)] and own == []
+    doc = corpus.split.train[0]
+    assert list(store.graphs) == [DocumentGraph(*brute_force_graph(doc, emb, 0.0))]
+
+
+def test_few_held_words_of_a_large_vocabulary_share_one_table(monkeypatch):
+    monkeypatch.setattr(docgraph, "_SIM_CACHE_MAX_V", 4)
+    corpus, emb = corpus_of([[2, 8], [8, 5, 2], [5], [2, 5, 8, 8]], v=10, seed=1)
+    shared, own = spy_tables(monkeypatch)
+    store = build_all_graphs(corpus, emb, delta=0.1)
+    assert shared == [(3, 3)] and own == []
+    assert list(store.graphs) == [DocumentGraph(*brute_force_graph(d, emb, 0.1))
+                                  for d in corpus.split.train]
+
+
+@pytest.mark.parametrize("words", [["w0", "w1", "w2"], ["w0", "w1", "w2", "w4", "w3"]],
+                         ids=["fewer_rows", "other_words"])
+def test_embeddings_of_another_vocabulary_rejected(words):
+    corpus, _ = corpus_of([[0, 3, 4]], v=5)
+    vocab = make_vocabulary(words)
+    emb = make_embeddings(vocab, np.ones((len(words), 4)))
+    with pytest.raises(ContractError, match="another vocabulary"):
+        build_all_graphs(corpus, emb, delta=0.2)

@@ -316,7 +316,7 @@ class TestCosineWeights:
             return cosine_similarity(u, v)
 
         monkeypatch.setattr(embedding, "cosine_similarity", counting)
-        got = cosine_weights(rows)
+        got = cosine_weights(rows, np.arange(300))
         assert got.dtype == np.float32 and got.shape == (300, 300)
         assert len(rechecks) > 0
         assert np.array_equal(got.view(np.uint32), scalar_weights(rows).view(np.uint32))
@@ -326,14 +326,14 @@ class TestCosineWeights:
         # the last two rows multiply to a sum of negative zeros
         rows = [[1.0, 0.0], [0.0, 2.0], [-3.0, 0.0], [0.0, 0.0], [1.0, 1.0],
                 [-1.0, 0.0], [0.0, -1.0]]
-        got = cosine_weights(rows)
+        got = cosine_weights(rows, np.arange(len(rows)))
         want = scalar_weights(np.asarray(rows, dtype=np.float32))
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
         assert got[0, 2] == -1.0 and got[0, 0] == 1.0
         assert got[0, 4] == np.float32(1.0 / math.sqrt(2.0))
 
     def test_empty(self):
-        assert cosine_weights(np.zeros((0, 3), dtype=np.float32)).shape == (0, 0)
+        assert cosine_weights(np.zeros((0, 3), dtype=np.float32), np.arange(0)).shape == (0, 0)
 
 
 class TestSimilarityCache:
@@ -341,7 +341,7 @@ class TestSimilarityCache:
         vocab = make_vocabulary([f"w{i}" for i in range(6)])
         gen = np.random.default_rng(1)
         emb = make_embeddings(vocab, gen.normal(size=(6, 4)))
-        cache = SimilarityCache(emb)
+        cache = SimilarityCache(emb, np.arange(6))
         assert cache.table.dtype == np.float32
         for i in range(6):
             for j in range(6):
@@ -352,11 +352,22 @@ class TestSimilarityCache:
     def test_symmetric(self):
         vocab = make_vocabulary(["aa", "bb", "cc"])
         emb = make_embeddings(vocab, np.random.default_rng(2).normal(size=(3, 3)))
-        cache = SimilarityCache(emb)
+        cache = SimilarityCache(emb, np.arange(3))
         assert float(cache.table[0, 2]) == float(cache.table[2, 0])
 
     def test_zero_row_handled(self):
         vocab = make_vocabulary(["aa", "bb"])
         emb = make_embeddings(vocab, [[0.0, 0.0], [1.0, 2.0]])
-        cache = SimilarityCache(emb)
+        cache = SimilarityCache(emb, np.arange(2))
         assert float(cache.table[0, 1]) == 0.0
+
+    def test_table_of_some_words_is_that_block_of_the_whole_table(self):
+        # 280 ids out of order span two tiles, and some of their entries are
+        # recomputed by the scalar guard
+        vocab = make_vocabulary([f"w{i}" for i in range(300)])
+        emb = make_embeddings(vocab, np.random.default_rng(3).normal(size=(300, 300)))
+        ids = np.random.default_rng(4).permutation(300)[:280]
+        whole = SimilarityCache(emb, np.arange(300)).table
+        got = SimilarityCache(emb, ids).table
+        assert got.shape == (280, 280)
+        assert got.tobytes() == whole[np.ix_(ids, ids)].tobytes()

@@ -19,13 +19,13 @@ from ginopic.rng import RngStreams
 F64 = np.float64
 
 
-def graph(n, edges, node_ids=None, delta=0.0):
+def graph(n, edges, node_ids=None):
     """Shorthand: edges as (i, j) pairs with weight 1, or (i, j, w) triples."""
     adjacency = tuple(
         (e[0], e[1], 1.0 if len(e) == 2 else e[2]) for e in edges
     )
     ids = tuple(range(n)) if node_ids is None else tuple(node_ids)
-    return DocumentGraph(node_ids=ids, adjacency=adjacency, delta=delta)
+    return DocumentGraph(node_ids=ids, adjacency=adjacency)
 
 
 def small_stack(seed=0, tau=8, hidden=16, tau_out=8, layers=2, dtype=None):
@@ -57,10 +57,9 @@ class TestBatchAdjacency:
         g2 = graph(2, [(0, 1, 0.75)])
         eps = 0.3
         matrix, ids, segments = batch_adjacency([g1, g2], eps)
-        expected = np.zeros((5, 5))
-        expected[:3, :3] = g1.to_dense()
-        expected[3:, 3:] = g2.to_dense()
-        expected += (1.0 + eps) * np.eye(5)
+        expected = (1.0 + eps) * np.eye(5)
+        for i, j, w in [(0, 1, 0.5), (1, 2, 0.25), (3, 4, 0.75)]:
+            expected[i, j] = expected[j, i] = w
         assert np.allclose(matrix.mat.toarray(), expected)
         assert ids.tolist() == [0, 1, 2, 0, 1]
         assert segments.tolist() == [0, 0, 0, 1, 1]
@@ -107,7 +106,7 @@ def random_graphs(seed, count):
         weights = gen.random(len(pairs)).tolist()
         adjacency = tuple((i, j, w) for (i, j), w, k in zip(pairs, weights, keep) if k)
         ids = tuple(gen.choice(500, size=n, replace=False).tolist())
-        out.append(DocumentGraph(node_ids=ids, adjacency=adjacency, delta=0.0))
+        out.append(DocumentGraph(node_ids=ids, adjacency=adjacency))
     return out
 
 
@@ -141,7 +140,7 @@ class TestBatchAdjacencyMatchesLoop:
                              for a, b in zip(cols.edge_ptr[:-1], cols.edge_ptr[1:])])
         assert (at != np.arange(at.size)).any()
         rev = GraphColumns(cols.node_ptr, cols.node_ids, cols.edge_ptr, cols.src[at],
-                           cols.dst[at], cols.weight[at], cols.delta)
+                           cols.dst[at], cols.weight[at])
         assert_same_operator(batch_adjacency(rev, 0.1, dtype),
                              loop_batch_adjacency(graphs, 0.1, dtype))
 
@@ -277,7 +276,6 @@ def permute_graph(g, perm):
     return DocumentGraph(
         node_ids=tuple(g.node_ids[old] for old in perm),
         adjacency=edges,
-        delta=g.delta,
     )
 
 

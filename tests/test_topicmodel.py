@@ -313,8 +313,18 @@ class TestTrain:
         result = train(corpus, graphs, config)
         assert [h.epoch for h in result.history] == [1, 2, 3]
         assert all(np.isfinite(h.total) for h in result.history)
-        assert config.delta == graphs.delta
+        assert result.model.config.delta == graphs.delta
         assert result.model.trained_epochs == 3
+
+    def test_train_leaves_the_callers_config_alone(self, tiny_data):
+        corpus, graphs = tiny_data
+        emb = block_embeddings(corpus.vocabulary, 2, 5, within=0.9)
+        config = small_config(epochs=1)
+        first = train(corpus, build_all_graphs(corpus, emb, delta=0.3), config)
+        second = train(corpus, graphs, config)
+        assert graphs.delta == 0.5
+        assert (first.model.config.delta, second.model.config.delta) == (0.3, 0.5)
+        assert config.delta is None
 
     def test_loss_decreases_on_easy_corpus(self, tiny_data):
         corpus, graphs = tiny_data
