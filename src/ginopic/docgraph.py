@@ -9,8 +9,9 @@ stored; the (1+epsilon) self-contribution is added during aggregation.
 Similarities are quantized to float32 *before* the delta comparison so the
 float32 file round-trips bit-for-bit and every stored weight still satisfies
 weight >= delta after reload.  Each weight is `np.float32(cosine_similarity)`
-of the two words, read from a `cosine_weights` table (the exact batched form
-of that scalar, whatever other words the table holds).  Graph construction
+of the two words, read from a `cosine_weights` table with floor delta (the
+batched form of that scalar, exact at or above delta whatever other words
+the table holds, and below delta elsewhere).  Graph construction
 is a pure function of (document, embeddings, delta): identical inputs give
 byte-identical files.
 
@@ -209,13 +210,14 @@ def _build_columns(documents, embeddings: EmbeddingMatrix, delta: float) -> Grap
     pair_ptr = _ptr(node_ptr[node_doc + 1] - 1 - np.arange(node_ids.size))
     src, dst, weight = [], [], []
     n_edges = np.zeros(len(documents), np.int64)
-    for a, b, table, ids in _runs(node_ids, node_ptr, embeddings):
+    # np.float64: a Python float would compare in float32 and keep weights
+    # float32(delta) < delta
+    floor = np.float64(delta)
+    for a, b, table, ids in _runs(node_ids, node_ptr, embeddings, floor):
         for lo in range(pair_ptr[a], pair_ptr[b], _PAIR_CHUNK):
             i, j = _pairs(pair_ptr, lo, min(lo + _PAIR_CHUNK, pair_ptr[b]))
             w = table[ids[i - a], ids[j - a]]
-            # np.float64: a Python float would compare in float32 and keep
-            # weights float32(delta) < delta
-            keep = w >= np.float64(delta)
+            keep = w >= floor
             i, j = i[keep], j[keep]
             doc = node_doc[i]
             src.append((i - node_ptr[doc]).astype("<u4"))
@@ -235,19 +237,20 @@ def _nodes(documents, vocab_size: int):
     return tokens[first], rows[first]
 
 
-def _runs(node_ids, node_ptr, embeddings: EmbeddingMatrix):
+def _runs(node_ids, node_ptr, embeddings: EmbeddingMatrix, floor):
     """(a, b, table, ids) per run of whole documents, nodes a..b-1: node k's
-    word is row and column ids[k - a] of the float32 cosine table.  One run
-    over a `SimilarityCache` of the words the documents hold, if there are at
-    most `_SIM_CACHE_MAX_V` of them; else one run per document, with a table
-    of its own distinct words."""
+    word is row and column ids[k - a] of the float32 cosine table, exact at
+    or above `floor` (see `cosine_weights`).  One run over a
+    `SimilarityCache` of the words the documents hold, if there are at most
+    `_SIM_CACHE_MAX_V` of them; else one run per document, with a table of
+    its own distinct words."""
     present = np.bincount(node_ids, minlength=len(embeddings.vectors)) > 0
     if present.sum() <= _SIM_CACHE_MAX_V:
-        table = SimilarityCache(embeddings, np.flatnonzero(present)).table
+        table = SimilarityCache(embeddings, np.flatnonzero(present), floor).table
         yield 0, node_ids.size, table, (np.cumsum(present) - 1)[node_ids]
         return
     for a, b in zip(node_ptr[:-1].tolist(), node_ptr[1:].tolist()):
-        yield a, b, cosine_weights(embeddings.vectors, node_ids[a:b]), np.arange(b - a)
+        yield a, b, cosine_weights(embeddings.vectors, node_ids[a:b], floor), np.arange(b - a)
 
 
 def _pairs(pair_ptr, lo: int, hi: int):

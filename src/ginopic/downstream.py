@@ -82,35 +82,50 @@ def _sgd_epoch(w, b, xo, yo, eta, decay):
     See the module docstring for the jump and why it is exact."""
     n, k = xo.shape
     steps = (eta * yo)[:, None] * xo
-    bsteps = eta * yo
+    bsteps = (eta * yo).tolist()
+    # w lives in chain[0], so a window's accumulate starts from it.  A window
+    # writes its decayed weights, margins and violations into buffers made
+    # once; hit[m] is a sentinel True, so one argmax finds the first
+    # violation or the window's end.  Only the last window, if shorter,
+    # needs views of another length.
     chain = np.full((_WINDOW + 1, k), decay)
+    chain[0] = w
+    w = chain[0]
+    ws = np.empty_like(chain)
+    margins = np.empty(_WINDOW)
+    hit = np.empty(_WINDOW + 1, dtype=bool)
+    hit[_WINDOW] = True
+    m = _WINDOW
+    chain_m, ws_m, margins_m, hit_m = chain, ws, margins, hit[:m]
     s = 0
     in_run = False
     while s < n:
         if in_run:
             in_run = yo[s] * (w @ xo[s] + b) < 1.0
+            w *= decay
             if in_run:
-                w = decay * w + steps[s]
+                w += steps[s]
                 b += bsteps[s]
-            else:
-                w = decay * w
             s += 1
             continue
-        m = min(_WINDOW, n - s)
-        chain[0] = w
-        ws = np.multiply.accumulate(chain[: m + 1], axis=0)
-        margins = np.vecdot(ws[:m], xo[s: s + m])
-        margins += b
-        margins *= yo[s: s + m]
-        hit = margins < 1.0
-        j = hit.argmax()
-        if hit[j]:
-            w = ws[j + 1] + steps[s + j]
+        if n - s < m:
+            m = n - s
+            chain_m, ws_m = chain[: m + 1], ws[: m + 1]
+            margins_m, hit_m = margins[:m], hit[:m]
+            hit[m] = True
+        np.multiply.accumulate(chain_m, axis=0, out=ws_m)
+        np.vecdot(ws_m[:m], xo[s: s + m], out=margins_m)
+        margins_m += b
+        margins_m *= yo[s: s + m]
+        np.less(margins_m, 1.0, out=hit_m)
+        j = int(hit.argmax())
+        if j < m:
+            np.add(ws[j + 1], steps[s + j], out=w)
             b += bsteps[s + j]
             s += j + 1
             in_run = j == 0
         else:
-            w = ws[m]
+            w[:] = ws[m]
             s += m
     return w, b
 

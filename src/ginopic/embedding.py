@@ -7,9 +7,10 @@ Words missing from the file (OOV) get reproducible uniform(-0.1, 0.1) fills
 drawn from a stream keyed by (seed, word), so the fill for a given word is
 identical across loads regardless of file order or which other words are
 missing.  `cosine_similarity` is the scalar reference similarity, used as is
-by the embedding-based diversity metrics.  `cosine_weights` is its exact
-batched form for graph construction: every entry is the float32 rounding of
-the scalar value, bit for bit.
+by the embedding-based diversity metrics.  `cosine_weights` is its batched
+form for graph construction, certified against a floor (the graph threshold
+delta): every entry whose float32 rounding of the scalar value reaches the
+floor is that rounding, bit for bit; every other entry is below the floor.
 """
 from __future__ import annotations
 
@@ -161,29 +162,46 @@ def _raise_first_bad_line(chunk, lineno, dim, converters, path):
 _TILE = 256
 
 
-def cosine_weights(vectors, ids) -> np.ndarray:
+def _doubtful(cos, bound, floor):
+    """Entries of a tile whose float32 rounding `bound` leaves open: the
+    float32 interval [lo, hi] of cos -/+ bound does not collapse, and hi
+    reaches `floor`."""
+    lo = np.clip(cos - bound, -1.0, 1.0).astype(np.float32)
+    hi = np.clip(cos + bound, -1.0, 1.0).astype(np.float32)
+    return (lo != hi) & (hi >= floor)
+
+
+def cosine_weights(vectors, ids, floor) -> np.ndarray:
     """float32 cosine of every pair of the rows `ids` of `vectors`, equal to
-    the scalar reference.
+    the scalar reference at or above `floor`.
 
     Entry (i, j) is exactly `np.float32(cosine_similarity(vectors[ids[i]],
-    vectors[ids[j]]))`, whatever the other ids are.  Work goes in _TILE x
-    _TILE blocks of the float64 Gram product, each gathering its own rows,
-    so no whole copy of the rows is held.  A Gram product sums in another
-    order than `np.dot`, so each entry carries the error bound
-    (2 dim + 8) eps (sum |u_k v_k| / (|u| |v|) + |c|); an entry whose bound
-    straddles a float32 rounding boundary (a few dozen of the 45,000 pairs
-    of 300 random 300-d normals) is recomputed with `cosine_similarity`
-    itself.  Exact zeros from disjoint supports have a zero bound and are
-    never recomputed.
+    vectors[ids[j]]))`, whatever the other ids are, or else it and that exact
+    value are both below `floor`.  `floor` is compared with float32 values,
+    so pass it as np.float64: a Python float or float32 floor compares in
+    float32, which is safe but settles fewer entries.  floor = -1 gives
+    every entry exactly.
+
+    Work goes in _TILE x _TILE blocks of the float64 Gram product, each
+    gathering its own rows, so no whole copy of the rows is held.  A Gram
+    product sums in another order than `np.dot`, so each entry carries the
+    error bound (2 dim + 8) eps (sum |u_k v_k| / (|u| |v|) + |c|).  By
+    Cauchy-Schwarz sum |u_k v_k| <= |u| |v|, so twice (2 dim + 8) eps
+    (1 + |c|) bounds it too, with room for the rounding of the norms.  An
+    entry is settled when the float32 rounding of c -/+ that bound is one
+    value, or when the upper end is below `floor`.  When more entries of a
+    tile than it has rows are left, the tile makes the second product
+    |a| @ |b|.T for the tighter bound; exact zeros from disjoint supports
+    have a zero tight bound.  An entry still left (a few dozen of the 45,000
+    pairs of 300 random 300-d normals) is recomputed with
+    `cosine_similarity` itself.
     """
     rows = np.asarray(vectors, dtype=np.float32)
     n, dim = len(ids), rows.shape[1]
     out = np.empty((n, n), dtype=np.float32)
     slack = (2 * dim + 8) * np.finfo(np.float64).eps
-    starts = range(0, n, _TILE)
-    for r0 in starts:
+    for r0 in range(0, n, _TILE):
         a = rows[ids[r0: r0 + _TILE]].astype(np.float64)
-        a_abs = np.abs(a)
         a_norm = np.sqrt(np.einsum("ij,ij->i", a, a))
         for c0 in range(r0, n, _TILE):
             b = rows[ids[c0: c0 + _TILE]].astype(np.float64)
@@ -191,13 +209,19 @@ def cosine_weights(vectors, ids) -> np.ndarray:
             norms = np.multiply.outer(a_norm, b_norm)
             nonzero = norms != 0.0
             cos = np.divide(a @ b.T, norms, out=np.zeros_like(norms), where=nonzero)
-            bound = np.divide(a_abs @ np.abs(b, out=b).T, norms, out=np.zeros_like(norms),
-                              where=nonzero)
-            bound = slack * (bound + np.abs(cos))
+            # 2 slack (1 + |c|) where both norms are nonzero, else 0: a zero
+            # row's cosines are exact zeros
+            bound = np.abs(cos)
+            bound += nonzero
+            bound *= 2 * slack
+            doubtful = _doubtful(cos, bound, floor)
+            if np.count_nonzero(doubtful) > len(a):
+                bound = np.divide(np.abs(a) @ np.abs(b, out=b).T, norms,
+                                  out=np.zeros_like(norms), where=nonzero)
+                bound = slack * (bound + np.abs(cos))
+                doubtful = _doubtful(cos, bound, floor)
             block = np.clip(cos, -1.0, 1.0).astype(np.float32)
-            lo = np.clip(cos - bound, -1.0, 1.0).astype(np.float32)
-            hi = np.clip(cos + bound, -1.0, 1.0).astype(np.float32)
-            for i, j in zip(*np.nonzero(lo != hi)):
+            for i, j in zip(*np.nonzero(doubtful)):
                 block[i, j] = cosine_similarity(rows[ids[r0 + i]], rows[ids[c0 + j]])
             out[r0: r0 + _TILE, c0: c0 + _TILE] = block
             # cosine_similarity is symmetric bit for bit, so mirror the block
@@ -210,9 +234,10 @@ class SimilarityCache:
 
     Entry (i, j) is the float32 rounding of `cosine_similarity` of words
     ids[i] and ids[j], as `cosine_weights` builds it, whatever other words
-    the table holds.  Quadratic in len(ids); intended for a few thousand
-    words.
+    the table holds, or else it and that rounding are both below `floor`
+    (see `cosine_weights`, also for when a tile makes its second Gram
+    product).  Quadratic in len(ids); intended for a few thousand words.
     """
 
-    def __init__(self, embeddings: EmbeddingMatrix, ids):
-        self.table = cosine_weights(embeddings.vectors, ids)
+    def __init__(self, embeddings: EmbeddingMatrix, ids, floor):
+        self.table = cosine_weights(embeddings.vectors, ids, floor)

@@ -574,13 +574,13 @@ def spy_tables(monkeypatch):
     shared, own = [], []
 
     class Spy(docgraph.SimilarityCache):
-        def __init__(self, embeddings, ids):
-            super().__init__(embeddings, ids)
+        def __init__(self, embeddings, ids, floor):
+            super().__init__(embeddings, ids, floor)
             shared.append(self.table.shape)
 
-    def spy_weights(vectors, ids):
+    def spy_weights(vectors, ids, floor):
         own.append(len(ids))
-        return cosine_weights(vectors, ids)
+        return cosine_weights(vectors, ids, floor)
 
     monkeypatch.setattr(docgraph, "SimilarityCache", Spy)
     monkeypatch.setattr(docgraph, "cosine_weights", spy_weights)

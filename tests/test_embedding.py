@@ -316,7 +316,7 @@ class TestCosineWeights:
             return cosine_similarity(u, v)
 
         monkeypatch.setattr(embedding, "cosine_similarity", counting)
-        got = cosine_weights(rows, np.arange(300))
+        got = cosine_weights(rows, np.arange(300), -1.0)
         assert got.dtype == np.float32 and got.shape == (300, 300)
         assert len(rechecks) > 0
         assert np.array_equal(got.view(np.uint32), scalar_weights(rows).view(np.uint32))
@@ -326,14 +326,103 @@ class TestCosineWeights:
         # the last two rows multiply to a sum of negative zeros
         rows = [[1.0, 0.0], [0.0, 2.0], [-3.0, 0.0], [0.0, 0.0], [1.0, 1.0],
                 [-1.0, 0.0], [0.0, -1.0]]
-        got = cosine_weights(rows, np.arange(len(rows)))
+        got = cosine_weights(rows, np.arange(len(rows)), -1.0)
         want = scalar_weights(np.asarray(rows, dtype=np.float32))
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
         assert got[0, 2] == -1.0 and got[0, 0] == 1.0
         assert got[0, 4] == np.float32(1.0 / math.sqrt(2.0))
 
     def test_empty(self):
-        assert cosine_weights(np.zeros((0, 3), dtype=np.float32), np.arange(0)).shape == (0, 0)
+        rows = np.zeros((0, 3), dtype=np.float32)
+        assert cosine_weights(rows, np.arange(0), -1.0).shape == (0, 0)
+
+
+def floor_rows(kind):
+    """300 rows, so two tiles: standard normals with a zero row; the rows of
+    an orthogonal matrix, whose float32 cosines are tiny and sums of large
+    cancelling terms, so the Gram product often rounds them otherwise than
+    `cosine_similarity`; normals with a shared component (mean cosine about
+    0.4); or desk-like block vectors, cosine 0.6 inside a block and exactly 0
+    across the other five."""
+    gen = np.random.default_rng(5)
+    if kind == "normals":
+        rows = gen.normal(size=(300, 300))
+        rows[7] = 0.0
+    elif kind == "orthogonal":
+        rows = np.linalg.qr(gen.normal(size=(300, 300)))[0]
+    elif kind == "dense":
+        rows = gen.normal(size=(300, 300)) + 0.8 * gen.normal(size=300)
+    else:
+        rows = loop_block_vectors(6, 50, 0.6)
+    return rows.astype(np.float32)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """(doubtful entries left by each bound a tile tries, scalar rechecks),
+    two lists filled while `cosine_weights` runs."""
+    doubts, rechecks = [], []
+    doubtful = embedding._doubtful
+
+    def counting_doubtful(cos, bound, floor):
+        left = doubtful(cos, bound, floor)
+        doubts.append(int(np.count_nonzero(left)))
+        return left
+
+    def counting_cosine(u, v):
+        rechecks.append(1)
+        return cosine_similarity(u, v)
+
+    monkeypatch.setattr(embedding, "_doubtful", counting_doubtful)
+    monkeypatch.setattr(embedding, "cosine_similarity", counting_cosine)
+    return doubts, rechecks
+
+
+class TestFloor:
+    TILES = 3   # 300 rows: tiles (0, 0), (0, 1) and (1, 1)
+
+    @pytest.mark.parametrize("kind", ["normals", "orthogonal", "dense", "desk_like"])
+    def test_exact_at_or_above_floor_and_below_it_elsewhere(self, kind):
+        rows = floor_rows(kind)
+        want = scalar_weights(rows)
+        for floor in (-1.0, 0.0, 0.4, 0.9):
+            got = cosine_weights(rows, np.arange(300), np.float64(floor))
+            at = want >= floor
+            assert np.array_equal(got[at].view(np.uint32), want[at].view(np.uint32)), floor
+            assert (got[~at] < floor).all(), floor
+
+    def test_exact_zeros_at_floor_zero_are_settled_by_the_second_product(self, counted):
+        doubts, rechecks = counted
+        cosine_weights(floor_rows("desk_like"), np.arange(300), np.float64(0.0))
+        # tile (0, 0): the first bound leaves its exact zeros in doubt, the
+        # second settles them all
+        assert doubts[0] > 1000 and doubts[1] == 0 and rechecks == []
+
+    def test_no_recheck_of_desk_like_rows_at_floor(self, counted):
+        doubts, rechecks = counted
+        cosine_weights(floor_rows("desk_like"), np.arange(300), np.float64(0.4))
+        assert doubts == [0] * self.TILES and rechecks == []
+
+    def test_floor_compares_in_float64(self, counted):
+        # the bound leaves an orthogonal pair in doubt across 0, so it is
+        # rechecked until the floor passes the float32 top of its interval:
+        # the least floor that settles it is the float64 just above that
+        # float32 value, and not the one above the midpoint to the next
+        _, rechecks = counted
+        rows = np.eye(2, dtype=np.float32)
+
+        def settles(bits):
+            before = len(rechecks)
+            cosine_weights(rows, np.arange(2), np.int64(bits).view(np.float64))
+            return len(rechecks) == before
+
+        lo, hi = 0, int(np.float64(1e-6).view(np.int64))
+        assert not settles(lo) and settles(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if settles(mid) else (mid, hi)
+        top = np.int64(lo).view(np.float64)
+        assert np.float64(np.float32(top)) == top
 
 
 class TestSimilarityCache:
@@ -341,7 +430,7 @@ class TestSimilarityCache:
         vocab = make_vocabulary([f"w{i}" for i in range(6)])
         gen = np.random.default_rng(1)
         emb = make_embeddings(vocab, gen.normal(size=(6, 4)))
-        cache = SimilarityCache(emb, np.arange(6))
+        cache = SimilarityCache(emb, np.arange(6), -1.0)
         assert cache.table.dtype == np.float32
         for i in range(6):
             for j in range(6):
@@ -352,13 +441,13 @@ class TestSimilarityCache:
     def test_symmetric(self):
         vocab = make_vocabulary(["aa", "bb", "cc"])
         emb = make_embeddings(vocab, np.random.default_rng(2).normal(size=(3, 3)))
-        cache = SimilarityCache(emb, np.arange(3))
+        cache = SimilarityCache(emb, np.arange(3), -1.0)
         assert float(cache.table[0, 2]) == float(cache.table[2, 0])
 
     def test_zero_row_handled(self):
         vocab = make_vocabulary(["aa", "bb"])
         emb = make_embeddings(vocab, [[0.0, 0.0], [1.0, 2.0]])
-        cache = SimilarityCache(emb, np.arange(2))
+        cache = SimilarityCache(emb, np.arange(2), -1.0)
         assert float(cache.table[0, 1]) == 0.0
 
     def test_table_of_some_words_is_that_block_of_the_whole_table(self):
@@ -367,7 +456,7 @@ class TestSimilarityCache:
         vocab = make_vocabulary([f"w{i}" for i in range(300)])
         emb = make_embeddings(vocab, np.random.default_rng(3).normal(size=(300, 300)))
         ids = np.random.default_rng(4).permutation(300)[:280]
-        whole = SimilarityCache(emb, np.arange(300)).table
-        got = SimilarityCache(emb, ids).table
+        whole = SimilarityCache(emb, np.arange(300), -1.0).table
+        got = SimilarityCache(emb, ids, -1.0).table
         assert got.shape == (280, 280)
         assert got.tobytes() == whole[np.ix_(ids, ids)].tobytes()
