@@ -7,6 +7,7 @@ package's own reverse-mode autodiff over numpy arrays.
 """
 from .corpus import (
     Corpus,
+    CorpusColumns,
     CorpusSplit,
     Document,
     PreprocessOptions,

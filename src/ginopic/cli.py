@@ -262,14 +262,13 @@ def _cmd_preprocess(o) -> int:
     corpus = build_corpus(texts, labels, options, ratios=o.ratios, seed=o.seed)
     corpus.save(o.out)
     log.info("corpus written to %s", o.out)
-    kept = len(corpus.split.all_documents())
+    kept = len(corpus.split.documents)
     _emit("documents_in", len(texts))
     _emit("documents_kept", kept)
     _emit("documents_dropped", len(texts) - kept)
     _emit("vocabulary", len(corpus.vocabulary))
-    _emit("train", len(corpus.split.train))
-    _emit("validation", len(corpus.split.validation))
-    _emit("test", len(corpus.split.test))
+    for name, size in zip(("train", "validation", "test"), corpus.split.sizes):
+        _emit(name, size)
     _emit("k_gold", corpus.split.k_gold if corpus.split.k_gold is not None else "-")
     _emit("sha256", corpus.sha256)
     return 0
@@ -431,6 +430,12 @@ def _sweep_runs(corpus, embeddings, deltas, config):
 
 
 def _cmd_train(o) -> int:
+    # a batch option with an option that batch would ignore
+    for a, b in (("--delta-sweep", "--graphs"), ("--delta-sweep", "--seeds"),
+                 ("--delta-sweep", "--topic-counts"), ("--topic-counts", "--seeds"),
+                 ("--topic-counts", "--topics")):
+        if all(getattr(o, Opt(flag).dest) is not None for flag in (a, b)):
+            raise ConfigError(f"{a} and {b} cannot be combined")
     corpus = load_corpus(o.corpus)
     paths = {"corpus_path": o.corpus, "graphs_path": o.graphs or ""}
 
@@ -484,6 +489,8 @@ def _cmd_train(o) -> int:
 
 
 def _cmd_eval_topics(o) -> int:
+    if bool(o.model) == bool(o.topics_file):
+        raise ConfigError("give exactly one of --model or --topics-file")
     corpus = load_corpus(o.corpus) if o.corpus else None
     if o.model:
         if corpus is None:
@@ -491,13 +498,11 @@ def _cmd_eval_topics(o) -> int:
         model = load_checkpoint(o.model, vocabulary=corpus.vocabulary)
         topics = top_words(model.beta.data, min(o.top_n, len(corpus.vocabulary)),
                            corpus.vocabulary)
-    elif o.topics_file:
+    else:
         topics = load_topics(o.topics_file)
         if corpus is not None and len(topics[0]) < 2:
             raise DataError(f"topics file: coherence needs >= 2 words per topic, "
                             f"got {len(topics[0])}", path=o.topics_file)
-    else:
-        raise ConfigError("one of --model or --topics-file is required")
 
     embeddings = None
     if o.embeddings:
@@ -525,7 +530,7 @@ def _cmd_classify(o) -> int:
     svm = SvmConfig(epochs=o.svm_epochs, lr=o.svm_lr, l2=o.svm_l2, seed=o.seed)
     svm.validate()
     corpus = load_corpus(o.corpus)
-    if any(d.label is None for d in corpus.split.all_documents()):
+    if (corpus.split.documents.labels < 0).any():
         raise ConfigError("classification needs a labeled corpus")
     for name in ("train", "test"):
         if not getattr(corpus.split, name):
@@ -535,8 +540,7 @@ def _cmd_classify(o) -> int:
 
     theta_train = infer_theta(model, corpus.split.train, store.train_graphs())
     theta_test = infer_theta(model, corpus.split.test, store.test_graphs())
-    y_train = [d.label for d in corpus.split.train]
-    y_test = [d.label for d in corpus.split.test]
+    y_train, y_test = corpus.split.train.labels, corpus.split.test.labels
 
     rows = [("run", "seed", "accuracy")]
     _emit(*rows[0])

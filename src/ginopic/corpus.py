@@ -11,10 +11,13 @@ unnormalized.  The pipeline fits idf on the training split and applies it
 unchanged to validation/test, so held-out documents never leak into the
 weighting; the smoothing keeps words unseen in training finite and positive.
 
+A corpus holds its documents as one `CorpusColumns`, as a graph store holds
+its graphs; no tf-idf is stored: `tfidf_dense` weighs word counts by the idf.
+
 The on-disk cache (magic GINOCORP2, in the `artifact` container) stores only
 what `Corpus.sha256` covers: the vocabulary, then the `<u4` lengths, `<u4`
 labels (0xFFFFFFFF: none) and `<i4` token ids of all documents in split
-order.  Load derives document frequencies and tf-idf with the step that
+order.  Load derives the document frequencies and the idf with the step that
 `assemble_corpus` uses, bit for bit; the file is purely input-derived, so
 rerunning preprocessing on identical inputs yields an identical file.
 """
@@ -23,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +38,6 @@ from .rng import stream
 
 _TOKEN_RE = re.compile(r"[a-z]+")
 _MAGIC = b"GINOCORP2\n"
-_NO_LABEL = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,6 @@ class Document:
 
     token_ids: np.ndarray  # int32
     label: int | None = None
-    tfidf_ids: np.ndarray | None = None     # int32, sorted distinct ids
-    tfidf_values: np.ndarray | None = None  # float64, aligned with tfidf_ids
 
     def __post_init__(self):
         self.token_ids = np.asarray(self.token_ids, dtype=np.int32)
@@ -108,11 +108,68 @@ class Document:
         return int(self.token_ids.size)
 
 
+def offsets(counts) -> np.ndarray:
+    """int64 offsets [0, c0, c0 + c1, ...] of consecutive runs of `counts`."""
+    return np.concatenate(([0], np.cumsum(np.asarray(counts, dtype=np.int64))))
+
+
+def take_runs(ptr, idx):
+    """(pointers, flat positions) of the runs of `ptr` at run positions `idx`."""
+    counts = ptr[idx + 1] - ptr[idx]
+    out = offsets(counts)
+    return out, np.arange(out[-1]) + np.repeat(ptr[idx] - out[:-1], counts)
+
+
+def concat(arrays, dtype) -> np.ndarray:
+    """The arrays end to end as one `dtype` array (empty for no arrays)."""
+    return np.concatenate([np.zeros(0, dtype), *arrays]).astype(dtype, copy=False)
+
+
+@dataclass(frozen=True, eq=False)
+class CorpusColumns:
+    """Documents as arrays.  Document k has the tokens
+    `token_ids[token_ptr[k]:token_ptr[k+1]]` (int32) and the label
+    `labels[k]` (int32, -1: none); `token_ptr` is int64 and starts at 0.
+    `idf` is the idf of the corpus's training split (float64, one per word;
+    None until a corpus fits it).  An int index, or iteration, gives a
+    `Document`; a slice, mask or index array gives columns with the same idf."""
+
+    token_ptr: np.ndarray
+    token_ids: np.ndarray
+    labels: np.ndarray
+    idf: np.ndarray | None = None
+
+    @classmethod
+    def pack(cls, documents, idf=None) -> "CorpusColumns":
+        """The columns of a list of `Document`s."""
+        return cls(offsets([len(d) for d in documents]),
+                   concat([d.token_ids for d in documents], np.int32),
+                   np.array([-1 if d.label is None else d.label for d in documents], np.int32),
+                   idf)
+
+    def __len__(self) -> int:
+        return self.token_ptr.size - 1
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            k = range(len(self))[key]
+            label = int(self.labels[k])
+            return Document(self.token_ids[self.token_ptr[k]: self.token_ptr[k + 1]],
+                            None if label < 0 else label)
+        idx = np.arange(len(self))[key]
+        token_ptr, at = take_runs(self.token_ptr, idx)
+        return CorpusColumns(token_ptr, self.token_ids[at], self.labels[idx], self.idf)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
 @dataclass
 class CorpusSplit:
-    train: list
-    validation: list
-    test: list
+    """All documents in train/validation/test order, as one `CorpusColumns`."""
+
+    documents: CorpusColumns
+    sizes: tuple  # (n_train, n_validation, n_test)
     label_names: list | None = None
 
     @property
@@ -121,16 +178,24 @@ class CorpusSplit:
         return None if self.label_names is None else len(self.label_names)
 
     @property
-    def sizes(self):
-        return (len(self.train), len(self.validation), len(self.test))
+    def train(self) -> CorpusColumns:
+        return self.documents[: self.sizes[0]]
 
-    def all_documents(self) -> list:
-        return self.train + self.validation + self.test
+    @property
+    def validation(self) -> CorpusColumns:
+        return self.documents[self.sizes[0]: sum(self.sizes[:2])]
+
+    @property
+    def test(self) -> CorpusColumns:
+        return self.documents[sum(self.sizes[:2]):]
+
+    def all_documents(self) -> CorpusColumns:
+        return self.documents
 
 
 @dataclass
 class Corpus:
-    """A preprocessed, split, tf-idf weighted corpus plus its provenance echo."""
+    """A preprocessed, split, idf-weighted corpus plus its provenance echo."""
 
     vocabulary: Vocabulary
     split: CorpusSplit
@@ -140,11 +205,10 @@ class Corpus:
 
     @property
     def sha256(self) -> str:
-        h = hashlib.sha256()
-        h.update("\n".join(self.vocabulary.words).encode("utf-8"))
-        for doc in self.split.all_documents():
-            h.update(doc.token_ids.astype("<i4").tobytes())
-            h.update(struct.pack("<i", -1 if doc.label is None else doc.label))
+        """Of the vocabulary, then each document's <i4 tokens and <i4 label (-1: none)."""
+        docs = self.split.documents
+        h = hashlib.sha256("\n".join(self.vocabulary.words).encode("utf-8"))
+        h.update(np.insert(docs.token_ids, docs.token_ptr[1:], docs.labels).astype("<i4"))
         return h.hexdigest()
 
     def save(self, path) -> None:
@@ -210,19 +274,18 @@ def preprocess(raw_documents, options: PreprocessOptions | None = None):
     return words, documents, kept_indices
 
 
-def token_rows(documents, vocab_size: int):
+def token_rows(documents: CorpusColumns, vocab_size: int):
     """(tokens, rows): every token id of `documents` end to end (int64) and
     its document's row.  A token id outside [0, vocab_size) is a
     ContractError: its key row * vocab_size + id would alias into a
     neighbouring document."""
-    tokens = np.concatenate([np.empty(0, np.int64)] + [d.token_ids for d in documents])
+    tokens = documents.token_ids.astype(np.int64)
     if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
         raise ContractError(f"token id outside the {vocab_size}-word vocabulary")
-    rows = np.repeat(np.arange(len(documents)), [d.token_ids.size for d in documents])
-    return tokens, rows
+    return tokens, np.repeat(np.arange(len(documents)), np.diff(documents.token_ptr))
 
 
-def word_counts(documents, vocab_size: int):
+def word_counts(documents: CorpusColumns, vocab_size: int):
     """(rows, ids, counts): each document's sorted distinct word ids and
     their counts, ordered by document row, from one `np.unique` over
     row * vocab_size + id (see `token_rows`)."""
@@ -232,56 +295,18 @@ def word_counts(documents, vocab_size: int):
     return rows, ids, counts
 
 
-def document_frequency(documents, vocab_size: int) -> np.ndarray:
-    """How many of `documents` contain each word id (int64)."""
-    return np.bincount(word_counts(documents, vocab_size)[1], minlength=vocab_size)
-
-
-def _idf(df, n: int) -> np.ndarray:
-    return np.log((1.0 + n) / (1.0 + df)) + 1.0
-
-
-def idf_vector(documents, vocab_size: int):
-    """Smoothed idf fit on `documents`: ln((1+N)/(1+df)) + 1.  Returns (idf, N)."""
-    n = len(documents)
-    return _idf(document_frequency(documents, vocab_size), n), n
-
-
-def _set_tfidf(documents, rows, ids, counts, idf) -> None:
-    """Give each document its (word id, count * idf) entries from `word_counts`."""
-    starts = np.searchsorted(rows, np.arange(len(documents) + 1)).tolist()
-    values = counts.astype(np.float64) * idf[ids]
-    ids = ids.astype(np.int32)
-    for doc, a, b in zip(documents, starts, starts[1:]):
-        doc.tfidf_ids, doc.tfidf_values = ids[a:b], values[a:b]
-
-
-def compute_tfidf(documents, vocabulary: Vocabulary, idf) -> np.ndarray:
-    """Fill each document's tf-idf entries in place with the given idf vector
-    (from `idf_vector`, e.g. fit on the training split); returns it."""
-    idf = np.asarray(idf, dtype=np.float64)
-    if idf.shape != (len(vocabulary),):
-        raise ContractError(
-            f"idf length {idf.shape} does not match vocabulary size {len(vocabulary)}"
-        )
-    _set_tfidf(documents, *word_counts(documents, len(vocabulary)), idf)
-    return idf
-
-
-def _weigh(split, vocab_size: int) -> np.ndarray:
-    """Fill every document's tf-idf with idf fit on the training split and
-    return the document frequencies over the whole corpus, all from one
-    `word_counts` pass."""
-    documents = split.all_documents()
-    rows, ids, counts = word_counts(documents, vocab_size)
-    n_train = len(split.train)
-    train_df = np.bincount(ids[rows < n_train], minlength=vocab_size)
-    _set_tfidf(documents, rows, ids, counts, _idf(train_df, n_train))
+def _weigh(split: CorpusSplit, vocab_size: int) -> np.ndarray:
+    """Give the split's documents the idf of its training split, ln((1+N)/(1+df)) + 1,
+    and return the document frequencies over the whole corpus, from one `word_counts` pass."""
+    rows, ids, _ = word_counts(split.documents, vocab_size)
+    n = split.sizes[0]
+    train_df = np.bincount(ids[rows < n], minlength=vocab_size)
+    split.documents = replace(split.documents, idf=np.log((1.0 + n) / (1.0 + train_df)) + 1.0)
     return np.bincount(ids, minlength=vocab_size)
 
 
 def split_corpus(documents, ratios=(0.70, 0.15, 0.15), seed: int = 0) -> CorpusSplit:
-    """Deterministic shuffled train/validation/test partition.
+    """Deterministic shuffled train/validation/test partition of a `CorpusColumns`.
 
     Validation and test sizes are floored, the remainder goes to train, so 10
     documents at the default ratios split 8/1/1.
@@ -296,14 +321,8 @@ def split_corpus(documents, ratios=(0.70, 0.15, 0.15), seed: int = 0) -> CorpusS
         raise DataError("cannot split an empty corpus")
     n_val = int(np.floor(ratios[1] * n))
     n_test = int(np.floor(ratios[2] * n))
-    n_train = n - n_val - n_test
     perm = stream(seed, "corpus/split").permutation(n)
-    order = [documents[i] for i in perm]
-    return CorpusSplit(
-        train=order[:n_train],
-        validation=order[n_train:n_train + n_val],
-        test=order[n_train + n_val:],
-    )
+    return CorpusSplit(documents[perm], (n - n_val - n_test, n_val, n_test))
 
 
 def build_corpus(
@@ -340,16 +359,15 @@ def assemble_corpus(
     label_names=None,
     options: dict | None = None,
 ) -> Corpus:
-    """Split already-tokenized documents, weight them with idf fit on the
+    """Split already-tokenized documents, give them the idf fit on the
     training split, build the vocabulary of `words` with its document
     frequencies over them, and wrap them in a Corpus.  `build_corpus` ends
     here; synthetic pipelines call it directly.
 
     Documents must carry integer labels already if label_names is given.
+    An empty list is a DataError, raised by `split_corpus`.
     """
-    if not documents:
-        raise DataError("empty corpus: no documents to assemble")
-    split = split_corpus(documents, ratios=ratios, seed=seed)
+    split = split_corpus(CorpusColumns.pack(documents), ratios=ratios, seed=seed)
     split.label_names = list(label_names) if label_names is not None else None
     return Corpus(
         vocabulary=Vocabulary(words=list(words), doc_frequency=_weigh(split, len(words))),
@@ -360,13 +378,11 @@ def assemble_corpus(
     )
 
 
-def tfidf_dense(documents, vocab_size: int, dtype=np.float32) -> np.ndarray:
-    """Densify tf-idf rows for a batch of documents."""
+def tfidf_dense(documents: CorpusColumns, vocab_size: int, dtype=np.float32) -> np.ndarray:
+    """Dense tf-idf rows of a batch: count * idf in float64, rounded to `dtype`."""
+    rows, ids, counts = word_counts(documents, vocab_size)
     out = np.zeros((len(documents), vocab_size), dtype=dtype)
-    for r, doc in enumerate(documents):
-        if doc.tfidf_ids is None:
-            raise ContractError("document has no tf-idf entries; run compute_tfidf first")
-        out[r, doc.tfidf_ids] = doc.tfidf_values
+    out[rows, ids] = counts * documents.idf[ids]
     return out
 
 
@@ -408,24 +424,22 @@ def save_corpus(corpus: Corpus, path) -> None:
     header = {
         "version": 1,
         "v": len(corpus.vocabulary),
-        "n_train": len(corpus.split.train),
-        "n_validation": len(corpus.split.validation),
-        "n_test": len(corpus.split.test),
+        "n_train": corpus.split.sizes[0],
+        "n_validation": corpus.split.sizes[1],
+        "n_test": corpus.split.sizes[2],
         "label_names": corpus.split.label_names,
         "options": corpus.options,
         "seed": corpus.seed,
         "ratios": list(corpus.ratios),
     }
-    docs = corpus.split.all_documents()
+    docs = corpus.split.documents
     with write_artifact(path, _MAGIC, header, "corpus cache") as fh:
         vocab_block = "\n".join(corpus.vocabulary.words).encode("utf-8")
         fh.write(struct.pack("<Q", len(vocab_block)))
         fh.write(vocab_block)
-        fh.write(np.array([len(d) for d in docs], dtype="<u4").tobytes())
-        fh.write(np.array([_NO_LABEL if d.label is None else d.label for d in docs],
-                          dtype="<u4").tobytes())
-        fh.write(np.concatenate([np.empty(0, "<i4")] + [d.token_ids for d in docs])
-                 .astype("<i4").tobytes())
+        fh.write(np.diff(docs.token_ptr).astype("<u4"))
+        fh.write(docs.labels.astype("<u4"))
+        fh.write(docs.token_ids.astype("<i4"))
 
 
 def load_corpus(path) -> Corpus:
@@ -441,19 +455,15 @@ def load_corpus(path) -> Corpus:
         sizes = [header[key] for key in ("n_train", "n_validation", "n_test")]
         n_docs = sum(sizes)
         lengths = np.frombuffer(read(4 * n_docs), dtype="<u4")
-        labels = np.frombuffer(read(4 * n_docs), dtype="<u4")
+        labels = np.frombuffer(read(4 * n_docs), dtype="<u4").astype(np.int32)  # -1: none
         tokens = np.frombuffer(read(4 * int(lengths.sum(dtype=np.uint64))), dtype="<i4")
     names = header["label_names"]
     n_labels = len(names or ())
-    if np.any((labels >= n_labels) & (labels != _NO_LABEL)):
+    if np.any((labels < -1) | (labels >= n_labels)):
         raise DataError(f"corpus cache holds a label outside its {n_labels} label names",
                         path=path)
-    ends = np.cumsum(lengths).tolist()
-    tokens = tokens.astype(np.int32)
-    docs = [Document(token_ids=tokens[a:b], label=None if label == _NO_LABEL else label)
-            for a, b, label in zip([0] + ends, ends, labels.tolist())]
-    a, b = sizes[0], sizes[0] + sizes[1]
-    split = CorpusSplit(docs[:a], docs[a:b], docs[b:], label_names=names)
+    docs = CorpusColumns(offsets(lengths), tokens.astype(np.int32), labels)
+    split = CorpusSplit(docs, tuple(sizes), label_names=names)
     try:
         vocabulary = Vocabulary(words=words, doc_frequency=_weigh(split, v))
     except ContractError as e:

@@ -44,7 +44,7 @@ from itertools import chain
 import numpy as np
 
 from .artifact import is_count, is_number, read_artifact, write_artifact
-from .corpus import Corpus, Document, token_rows
+from .corpus import Corpus, CorpusColumns, Document, concat, offsets, take_runs, token_rows
 from .embedding import EmbeddingMatrix, SimilarityCache, cosine_weights
 from .errors import ConfigError, ContractError, DataError
 
@@ -74,16 +74,6 @@ class DocumentGraph:
         return len(self.adjacency)
 
 
-def _ptr(counts) -> np.ndarray:
-    """int64 offsets [0, c0, c0 + c1, ...] of consecutive runs of `counts`."""
-    return np.concatenate(([0], np.cumsum(np.asarray(counts, dtype=np.int64))))
-
-
-def _cat(arrays, dtype) -> np.ndarray:
-    """The arrays end to end as one `dtype` array (empty for no arrays)."""
-    return np.concatenate([np.zeros(0, dtype), *arrays]).astype(dtype, copy=False)
-
-
 @dataclass(frozen=True, eq=False)
 class GraphColumns:
     """Graphs as arrays.  Graph k has the nodes
@@ -102,8 +92,8 @@ class GraphColumns:
     @classmethod
     def pack(cls, graphs) -> "GraphColumns":
         """The columns of a list of `DocumentGraph`s."""
-        node_ptr = _ptr([g.n_nodes for g in graphs])
-        edge_ptr = _ptr([g.n_edges for g in graphs])
+        node_ptr = offsets([g.n_nodes for g in graphs])
+        edge_ptr = offsets([g.n_edges for g in graphs])
         node_ids = np.fromiter(chain.from_iterable(g.node_ids for g in graphs),
                                dtype="<u4", count=int(node_ptr[-1]))
         edges = np.fromiter(chain.from_iterable(g.adjacency for g in graphs),
@@ -126,20 +116,13 @@ class GraphColumns:
                                     self.weight[e:f].tolist())),
             )
         idx = np.arange(len(self))[key]
-        node_ptr, node_at = _take(self.node_ptr, idx)
-        edge_ptr, edge_at = _take(self.edge_ptr, idx)
+        node_ptr, node_at = take_runs(self.node_ptr, idx)
+        edge_ptr, edge_at = take_runs(self.edge_ptr, idx)
         return GraphColumns(node_ptr, self.node_ids[node_at], edge_ptr, self.src[edge_at],
                             self.dst[edge_at], self.weight[edge_at])
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
-
-
-def _take(ptr, idx):
-    """(pointers, flat positions) of the runs of `ptr` at graph positions `idx`."""
-    counts = ptr[idx + 1] - ptr[idx]
-    out = _ptr(counts)
-    return out, np.arange(out[-1]) + np.repeat(ptr[idx] - out[:-1], counts)
 
 
 def validate_delta(delta: float) -> float:
@@ -153,7 +136,7 @@ def build_document_graph(document: Document, embeddings: EmbeddingMatrix,
                          delta: float) -> DocumentGraph:
     """Threshold all word pairs of one document at delta, by the build
     `build_all_graphs` runs."""
-    return _build_columns([document], embeddings, validate_delta(delta))[0]
+    return _build_columns(CorpusColumns.pack([document]), embeddings, validate_delta(delta))[0]
 
 
 @dataclass
@@ -191,7 +174,7 @@ def build_all_graphs(corpus: Corpus, embeddings: EmbeddingMatrix, delta: float) 
     delta = validate_delta(delta)
     if embeddings.vocabulary.words != corpus.vocabulary.words:
         raise ContractError("embeddings are aligned to another vocabulary than the corpus's")
-    graphs = _build_columns(corpus.split.all_documents(), embeddings, delta)
+    graphs = _build_columns(corpus.split.documents, embeddings, delta)
     return GraphStore(
         delta=delta,
         corpus_sha256=corpus.sha256,
@@ -204,10 +187,10 @@ def build_all_graphs(corpus: Corpus, embeddings: EmbeddingMatrix, delta: float) 
 def _build_columns(documents, embeddings: EmbeddingMatrix, delta: float) -> GraphColumns:
     """Every document's graph from whole-corpus arrays (see the module docstring)."""
     node_ids, node_doc = _nodes(documents, len(embeddings.vectors))
-    node_ptr = _ptr(np.bincount(node_doc, minlength=len(documents)))
+    node_ptr = offsets(np.bincount(node_doc, minlength=len(documents)))
     # node k pairs with the later nodes of its document: pair_ptr[k + 1] - pair_ptr[k]
     # of them, so the pairs of node k, then node k + 1, ... are row-major
-    pair_ptr = _ptr(node_ptr[node_doc + 1] - 1 - np.arange(node_ids.size))
+    pair_ptr = offsets(node_ptr[node_doc + 1] - 1 - np.arange(node_ids.size))
     src, dst, weight = [], [], []
     n_edges = np.zeros(len(documents), np.int64)
     # np.float64: a Python float would compare in float32 and keep weights
@@ -224,11 +207,11 @@ def _build_columns(documents, embeddings: EmbeddingMatrix, delta: float) -> Grap
             dst.append((j - node_ptr[doc]).astype("<u4"))
             weight.append(w[keep])
             np.add.at(n_edges, doc, 1)
-    return GraphColumns(node_ptr, node_ids.astype("<u4"), _ptr(n_edges), _cat(src, "<u4"),
-                        _cat(dst, "<u4"), _cat(weight, np.float64))
+    return GraphColumns(node_ptr, node_ids.astype("<u4"), offsets(n_edges), concat(src, "<u4"),
+                        concat(dst, "<u4"), concat(weight, np.float64))
 
 
-def _nodes(documents, vocab_size: int):
+def _nodes(documents: CorpusColumns, vocab_size: int):
     """(word id, document row) of every document's distinct words in
     first-occurrence order, documents in turn."""
     tokens, rows = token_rows(documents, vocab_size)
@@ -328,7 +311,7 @@ def load_graph_store(path) -> GraphStore:
             raise DataError(f"graph cache split sizes {header['split_sizes']} do not add up "
                             f"to {header['n_graphs']} graphs", path=path)
         n_nodes, n_edges = np.frombuffer(read(8 * header["n_graphs"]), "<u4").reshape(2, -1)
-        node_ptr, edge_ptr = _ptr(n_nodes), _ptr(n_edges)
+        node_ptr, edge_ptr = offsets(n_nodes), offsets(n_edges)
         node_ids = np.frombuffer(read(4 * int(node_ptr[-1])), "<u4")
         # src and dst apart from the weights, so the float32 bytes are not
         # kept alive by views into one buffer

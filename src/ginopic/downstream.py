@@ -178,7 +178,7 @@ def export_theta(model, corpus, graphs, path) -> None:
     Proportions come from posterior-mean inference, suitable for external 2-D
     projection; no header line.
     """
-    docs = corpus.split.all_documents()
-    theta = infer_theta(model, docs, graphs.graphs)
-    write_tsv(path, ((i, -1 if doc.label is None else int(doc.label), *(f"{v:.9g}" for v in row))
-                     for i, (doc, row) in enumerate(zip(docs, theta))), "theta export")
+    labels = corpus.split.documents.labels.tolist()
+    theta = infer_theta(model, corpus.split.documents, graphs.graphs)
+    write_tsv(path, ((i, label, *(f"{v:.9g}" for v in row))
+                     for i, (label, row) in enumerate(zip(labels, theta))), "theta export")

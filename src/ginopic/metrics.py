@@ -330,9 +330,11 @@ def wi_m(topics, embeddings: EmbeddingMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 def token_documents(documents, vocabulary) -> list:
-    """Back-map token ids to word strings for co-occurrence counting."""
-    words = vocabulary.words
-    return [[words[t] for t in doc.token_ids] for doc in documents]
+    """Back-map token ids to word strings for co-occurrence counting: one
+    list per document of the `CorpusColumns`, sliced from one flat list."""
+    words = np.asarray(vocabulary.words, dtype=object)[documents.token_ids].tolist()
+    ptr = documents.token_ptr.tolist()
+    return [words[a:b] for a, b in zip(ptr, ptr[1:])]
 
 
 def evaluate_topics(topics, reference_token_docs=None, embeddings: EmbeddingMatrix | None = None,

@@ -350,7 +350,7 @@ def train(corpus: Corpus, graphs: GraphStore, config: TrainConfig) -> TrainResul
         rl_sum = kl_sum = 0.0
         for step, start in enumerate(range(0, n, config.batch_size)):
             idx = perm[start:start + config.batch_size]
-            docs = [train_docs[i] for i in idx]
+            docs = train_docs[idx]
             batch_graphs = train_graphs[idx]
             noise_rng = streams.stream(f"train/noise/epoch{epoch}/step{step}")
             drop_rng = streams.stream(f"train/dropout/epoch{epoch}/step{step}")

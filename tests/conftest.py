@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import ginopic
-from ginopic.corpus import Document, Vocabulary
+from ginopic import corpus as corpus_module
+from ginopic.corpus import Corpus, CorpusColumns, CorpusSplit, Document, Vocabulary
 from ginopic.embedding import EmbeddingMatrix
 
 settings.register_profile(
@@ -88,6 +89,18 @@ def load_under_limit(loader, paths, limit=2 ** 30):
 
 def make_document(token_ids, label=None):
     return Document(token_ids=np.asarray(token_ids, dtype=np.int32), label=label)
+
+
+def make_corpus(vocabulary, train, validation=(), test=()):
+    """A corpus over `vocabulary` whose splits are the given `Document`
+    lists, in that order and unshuffled, with the idf fit on `train` as
+    `load_corpus` fits it."""
+    docs = [*train, *validation, *test]
+    sizes = (len(train), len(validation), len(test))
+    split = CorpusSplit(CorpusColumns.pack(docs), sizes)
+    corpus_module._weigh(split, len(vocabulary))
+    return Corpus(vocabulary=vocabulary, split=split, options={}, seed=0,
+                  ratios=tuple(n / len(docs) for n in sizes))
 
 
 @pytest.fixture

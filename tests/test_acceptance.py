@@ -21,10 +21,9 @@ import pytest
 
 import ginopic.tensor as T
 from ginopic.corpus import (
+    CorpusColumns,
     PreprocessOptions,
     build_corpus,
-    compute_tfidf,
-    idf_vector,
     load_labels,
     load_texts,
 )
@@ -373,11 +372,10 @@ def recovery():
     emb = block_embeddings(corpus.vocabulary, N_TOPICS, WORDS_PER_TOPIC, within=0.9)
     store = build_all_graphs(corpus, emb, delta=0.5)
 
-    idf, _ = idf_vector(corpus.split.train, len(corpus.vocabulary))
-    probes = probe_documents(N_TOPICS, WORDS_PER_TOPIC)
-    compute_tfidf(probes, corpus.vocabulary, idf=idf)
+    probes = CorpusColumns.pack(probe_documents(N_TOPICS, WORDS_PER_TOPIC),
+                                corpus.split.train.idf)
     probe_graphs = [build_document_graph(d, emb, 0.5) for d in probes]
-    probe_labels = np.array([d.label for d in probes])
+    probe_labels = probes.labels
 
     runs = []
     for seed in range(5):

@@ -443,6 +443,29 @@ class TestTrain:
         assert f"--seeds must be >= 1, got {seeds}" in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("options", [
+        ["--delta-sweep", "0.3,0.5", "--graphs", "GRAPHS"],
+        ["--delta-sweep", "0.3,0.5", "--seeds", "3"],
+        ["--delta-sweep", "0.3,0.5", "--topic-counts", "2,3"],
+        ["--topic-counts", "2,3", "--seeds", "3"],
+        ["--topic-counts", "2,3", "--topics", "5"],
+    ], ids=["sweep_graphs", "sweep_seeds", "sweep_topic_counts", "topic_counts_seeds",
+            "topic_counts_topics"])
+    def test_conflicting_batch_options_fail_before_any_run(self, pipeline, tmp_path, capsys,
+                                                           options):
+        """A batch option with an option the batch would ignore is refused,
+        and no run directory is made."""
+        out = tmp_path / "batch"
+        options = [pipeline.graphs if o == "GRAPHS" else o for o in options]
+        rc, stdout, err = run(capsys, ["train", "--corpus", pipeline.corpus,
+                                       "--embeddings", pipeline.emb, "--epochs", "1",
+                                       *options, "--out", str(out)] + TRAIN_DIMS)
+        assert rc == 2
+        assert_one_line_error(err)
+        assert f"{options[0]} and {options[2]} cannot be combined" in err
+        assert stdout == ""
+        assert not out.exists()
+
     def test_delta_sweep_needs_embeddings(self, pipeline, tmp_path, capsys):
         rc, _, _ = run(capsys, ["train", "--corpus", pipeline.corpus, "--topics", "2",
                                 "--epochs", "1", "--delta-sweep", "0.3",
@@ -598,6 +621,16 @@ class TestEvalTopics:
     def test_needs_some_source(self, capsys):
         rc, _, _ = run(capsys, ["eval-topics"])
         assert rc == 2
+
+    def test_model_and_topics_file_together_exit_code(self, pipeline, tmp_path, capsys):
+        topics = tmp_path / "topics.txt"
+        topics.write_text("alpha beta gamma\ndelta epsilon zeta\n")
+        rc, out, err = run(capsys, ["eval-topics", "--model", pipeline.model,
+                                    "--topics-file", str(topics), "--corpus", pipeline.corpus])
+        assert rc == 2
+        assert out == ""
+        assert_one_line_error(err)
+        assert "--model or --topics-file" in err
 
     def test_model_needs_corpus(self, pipeline, capsys):
         rc, _, _ = run(capsys, ["eval-topics", "--model", pipeline.model])

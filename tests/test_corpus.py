@@ -1,5 +1,8 @@
-"""Preprocessing, tf-idf weighting, splitting, and the corpus cache format."""
+"""Preprocessing, tf-idf weighting, splitting, the corpus columns and hash,
+and the corpus cache format."""
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,13 +11,12 @@ from hypothesis import strategies as st
 
 from ginopic import corpus as corpus_module
 from ginopic.corpus import (
+    CorpusColumns,
     Document,
     PreprocessOptions,
     Vocabulary,
     assemble_corpus,
     build_corpus,
-    compute_tfidf,
-    idf_vector,
     load_corpus,
     preprocess,
     save_corpus,
@@ -27,7 +29,14 @@ from ginopic.errors import ConfigError, ContractError, DataError
 from ginopic.lemmatizer import lemmatize
 from ginopic.rng import stream
 
-from conftest import make_document, make_vocabulary, rewrite_header
+from conftest import make_corpus, make_document, make_vocabulary, rewrite_header
+
+
+def pack(token_docs, labels=None, idf=None):
+    """Columns of documents given as token id lists (and labels)."""
+    labels = labels or [None] * len(token_docs)
+    return CorpusColumns.pack([make_document(ids, lab) for ids, lab in zip(token_docs, labels)],
+                              idf)
 
 
 class TestLemmatizer:
@@ -117,55 +126,40 @@ class TestTfidf:
     def test_hand_value(self):
         # N=10 docs, df=1, count=2: 2 * (ln(11/2) + 1) = 5.409496184476851
         docs = [make_document([0, 0])] + [make_document([1]) for _ in range(9)]
-        idf, n = idf_vector(docs, 2)
-        assert n == 10
-        vocab = make_vocabulary(["aa", "bb"])
-        compute_tfidf(docs, vocab, idf=idf)
-        value = docs[0].tfidf_values[0]
+        corpus = make_corpus(make_vocabulary(["aa", "bb"]), train=docs)
+        assert len(corpus.split.train) == 10
+        value = tfidf_dense(corpus.split.train, 2, np.float64)[0, 0]
         assert value == pytest.approx(2.0 * (math.log(11.0 / 2.0) + 1.0), abs=1e-12)
         assert value == pytest.approx(5.409496184476851, abs=1e-12)
 
     def test_train_fit_idf_applied_to_heldout(self):
         train = [make_document([0, 1]), make_document([0])]
         test = [make_document([1, 1, 1])]
-        idf, _ = idf_vector(train, 2)
-        vocab = make_vocabulary(["aa", "bb"])
-        compute_tfidf(test, vocab, idf=idf)
+        corpus = make_corpus(make_vocabulary(["aa", "bb"]), train=train, test=test)
         # word 1 has train df=1, so idf = ln(3/2)+1 regardless of test usage
-        assert test[0].tfidf_values[0] == pytest.approx(3.0 * (math.log(1.5) + 1.0))
+        assert tfidf_dense(corpus.split.test, 2, np.float64)[0, 1] == \
+            pytest.approx(3.0 * (math.log(1.5) + 1.0))
 
     def test_word_absent_from_train_stays_finite(self):
         train = [make_document([0]), make_document([0])]
-        idf, _ = idf_vector(train, 2)
+        idf = make_corpus(make_vocabulary(["aa", "bb"]), train=train).split.train.idf
         assert idf[1] == pytest.approx(math.log(3.0) + 1.0)
         assert np.all(np.isfinite(idf)) and np.all(idf > 0)
 
-    def test_idf_length_mismatch(self):
-        vocab = make_vocabulary(["aa", "bb"])
-        with pytest.raises(ContractError):
-            compute_tfidf([make_document([0])], vocab, idf=np.ones(3))
-
     def test_tfidf_dense_layout(self):
-        docs = [make_document([0, 2, 2])]
-        compute_tfidf(docs, make_vocabulary(["aa", "bb", "cc"]), idf=np.ones(3))
-        dense = tfidf_dense(docs, 3)
+        dense = tfidf_dense(pack([[0, 2, 2]], idf=np.ones(3)), 3)
         assert dense.shape == (1, 3)
         assert dense[0].tolist() == [1.0, 0.0, 2.0]
-
-    def test_tfidf_dense_requires_weights(self):
-        with pytest.raises(ContractError):
-            tfidf_dense([make_document([0])], 1)
 
     @pytest.mark.parametrize("token", [-1, 3], ids=["negative", "vocabulary_size"])
     def test_token_id_outside_vocabulary_is_contract_error(self, token):
         """-1 would wrap to the last word and 3 would alias into the next
         document's key; both are refused before any weight is computed."""
-        docs = [make_document([0, token]), make_document([1, 2])]
+        docs = pack([[0, token], [1, 2]], idf=np.ones(3))
         with pytest.raises(ContractError, match="outside"):
             word_counts(docs, 3)
         with pytest.raises(ContractError, match="outside"):
-            compute_tfidf(docs, make_vocabulary(["aa", "bb", "cc"]), idf=np.ones(3))
-        assert docs[0].tfidf_ids is None
+            tfidf_dense(docs, 3)
 
 
 def loop_compute_tfidf(split, vocab_size: int):
@@ -209,9 +203,9 @@ WEIGHT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(WEIGHT_CASES))
 def test_corpus_weights_equal_per_document_loop(case, tmp_path):
-    """tf-idf, idf and document frequencies from the one `word_counts` pass
-    equal the per-document loop bit for bit, when built and after a save
-    and load."""
+    """Idf and document frequencies from the one `word_counts` pass, and the
+    `tfidf_dense` rows, equal the per-document loop bit for bit, when built
+    and after a save and load."""
     token_docs, v, ratios = WEIGHT_CASES[case]
     docs = [make_document(ids) for ids in token_docs]
     words = [f"w{i}" for i in range(v)]
@@ -219,42 +213,47 @@ def test_corpus_weights_equal_per_document_loop(case, tmp_path):
     entries, idf, df = loop_compute_tfidf(corpus.split, v)
     if case.endswith("absent_from_train"):
         assert (idf == np.log(1.0 + len(corpus.split.train)) + 1.0).sum() == 2
-    _assert_bitwise(idf_vector(corpus.split.train, v)[0], idf)
+    want = np.zeros((len(entries), v))
+    for r, (ids, values) in enumerate(entries):
+        want[r, ids] = values
     save_corpus(corpus, tmp_path / "corpus.bin")
     for built in (corpus, load_corpus(tmp_path / "corpus.bin")):
         _assert_bitwise(built.vocabulary.doc_frequency, df)
-        for doc, (ids, values) in zip(built.split.all_documents(), entries, strict=True):
-            _assert_bitwise(doc.tfidf_ids, ids)
-            _assert_bitwise(doc.tfidf_values, values)
+        for part in (built.split.train, built.split.test, built.split.documents):
+            _assert_bitwise(part.idf, idf)
+        docs = built.split.documents
+        _assert_bitwise(tfidf_dense(docs, v, np.float64), want)
+        _assert_bitwise(tfidf_dense(docs, v), want.astype(np.float32))
+        # a batch of documents in any order gets the same rows
+        order = np.arange(len(docs))[::-2]
+        _assert_bitwise(tfidf_dense(docs[order], v, np.float64), want[order])
 
 
 class TestSplit:
     def test_ten_documents_default_ratios_split_8_1_1(self):
-        docs = [make_document([i]) for i in range(10)]
-        split = split_corpus(docs, seed=0)
+        split = split_corpus(pack([[i] for i in range(10)]), seed=0)
         assert split.sizes == (8, 1, 1)
 
     def test_sizes_exhaustive_and_disjoint(self):
-        docs = [make_document([i]) for i in range(23)]
-        split = split_corpus(docs, ratios=(0.6, 0.2, 0.2), seed=1)
+        split = split_corpus(pack([[i] for i in range(23)]), ratios=(0.6, 0.2, 0.2), seed=1)
         assert sum(split.sizes) == 23
         seen = {int(d.token_ids[0]) for d in split.all_documents()}
         assert seen == set(range(23))
 
     def test_same_seed_same_split(self):
-        docs = [make_document([i]) for i in range(20)]
+        docs = pack([[i] for i in range(20)])
         a = split_corpus(docs, seed=5)
         b = split_corpus(docs, seed=5)
         assert [d.token_ids[0] for d in a.train] == [d.token_ids[0] for d in b.train]
 
     def test_different_seed_different_split(self):
-        docs = [make_document([i]) for i in range(50)]
+        docs = pack([[i] for i in range(50)])
         a = split_corpus(docs, seed=0)
         b = split_corpus(docs, seed=1)
         assert [int(d.token_ids[0]) for d in a.train] != [int(d.token_ids[0]) for d in b.train]
 
     def test_bad_ratios(self):
-        docs = [make_document([0])]
+        docs = pack([[0]])
         with pytest.raises(ConfigError):
             split_corpus(docs, ratios=(0.5, 0.5, 0.5))
         with pytest.raises(ConfigError):
@@ -262,7 +261,7 @@ class TestSplit:
 
     def test_empty_corpus(self):
         with pytest.raises(DataError):
-            split_corpus([])
+            split_corpus(pack([]))
 
 
 class TestBuildCorpus:
@@ -283,7 +282,7 @@ class TestBuildCorpus:
         assert corpus.split.k_gold == 2
         for doc in corpus.split.all_documents():
             assert doc.label in (0, 1)
-            assert doc.tfidf_values is not None
+        assert corpus.split.documents.idf.shape == (len(corpus.vocabulary),)
 
     def test_label_count_mismatch(self):
         with pytest.raises(DataError):
@@ -360,11 +359,14 @@ class TestCorpusCache:
         assert loaded.split.label_names == corpus.split.label_names
         assert loaded.split.k_gold == corpus.split.k_gold
         assert loaded.ratios == corpus.ratios
-        for da, db in zip(corpus.split.all_documents(), loaded.split.all_documents()):
+        for da, db in zip(corpus.split.all_documents(), loaded.split.all_documents(),
+                          strict=True):
             assert np.array_equal(da.token_ids, db.token_ids)
             assert da.label == db.label
-            assert np.array_equal(da.tfidf_ids, db.tfidf_ids)
-            assert np.array_equal(da.tfidf_values, db.tfidf_values)
+        assert np.array_equal(loaded.split.documents.idf, corpus.split.documents.idf)
+        v = len(corpus.vocabulary)
+        assert np.array_equal(tfidf_dense(loaded.split.documents, v),
+                              tfidf_dense(corpus.split.documents, v))
 
     def test_save_is_byte_deterministic(self, tmp_path):
         corpus = self._corpus()
@@ -432,12 +434,11 @@ class TestCorpusCache:
         with pytest.raises(DataError):
             load_corpus(path)
 
-    @pytest.mark.parametrize("where,value", [("token_ids", 9999), ("token_ids", -1)],
-                             ids=["token_past_vocabulary", "token_negative"])
-    def test_word_id_outside_vocabulary_is_data_error(self, tmp_path, where, value):
+    @pytest.mark.parametrize("value", [9999, -1], ids=["token_past_vocabulary", "token_negative"])
+    def test_word_id_outside_vocabulary_is_data_error(self, tmp_path, value):
         corpus = self._corpus()
         assert len(corpus.vocabulary) == 8
-        getattr(corpus.split.train[0], where)[0] = value
+        corpus.split.documents.token_ids[0] = value  # the first token of train document 0
         path = tmp_path / "corpus.bin"
         save_corpus(corpus, path)
         with pytest.raises(DataError, match="outside"):
@@ -448,7 +449,8 @@ class TestCorpusCache:
     def test_label_outside_label_names_is_data_error(self, tmp_path, label):
         corpus = self._corpus()
         assert len(corpus.split.label_names) == 3
-        corpus.split.train[0].label = label
+        # the <u4 label the cache stores for train document 0
+        corpus.split.documents.labels.view(np.uint32)[0] = label
         path = tmp_path / "corpus.bin"
         save_corpus(corpus, path)
         with pytest.raises(DataError, match="label"):
@@ -466,8 +468,8 @@ class TestCorpusCache:
         corpus = self._corpus()
         save_corpus(corpus, path)
         before = path.read_bytes()
-        corpus.split.train[0].label = 2 ** 32  # does not fit the <u4 label array
-        with pytest.raises(OverflowError):
+        corpus.vocabulary.words[0] = "\ud800"  # a lone surrogate has no UTF-8 encoding
+        with pytest.raises(UnicodeEncodeError):
             save_corpus(corpus, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.bin"]
@@ -516,8 +518,87 @@ def test_cache_round_trip_property(token_docs, seed):
 
 @given(st.integers(4, 60), st.integers(0, 100))
 def test_split_sizes_floor_rule(n, seed):
-    docs = [make_document([i]) for i in range(n)]
-    split = split_corpus(docs, seed=seed)
+    split = split_corpus(pack([[i] for i in range(n)]), seed=seed)
     assert split.sizes[1] == int(np.floor(0.15 * n))
     assert split.sizes[2] == int(np.floor(0.15 * n))
     assert split.sizes[0] == n - split.sizes[1] - split.sizes[2]
+
+
+def loop_sha256(corpus) -> str:
+    """The per-document reference for `Corpus.sha256`: the vocabulary, then
+    each document's `<i4` tokens followed by its `<i4` label (-1: none)."""
+    h = hashlib.sha256()
+    h.update("\n".join(corpus.vocabulary.words).encode("utf-8"))
+    for doc in corpus.split.all_documents():
+        h.update(doc.token_ids.astype("<i4").tobytes())
+        h.update(struct.pack("<i", -1 if doc.label is None else doc.label))
+    return h.hexdigest()
+
+
+def _random_split(seed: int):
+    """(train, validation, test) Document lists with zero-length documents,
+    unlabeled ones and, for some seeds, empty validation and test splits."""
+    rng = stream(seed, "test/sha256")
+    n = int(rng.integers(1, 40))
+    docs = [make_document(rng.integers(0, 9, size=int(rng.integers(0, 5))),
+                          None if lab < 0 else int(lab))
+            for lab in rng.integers(-1, 3, size=n)]
+    a, b = sorted(rng.integers(0, n + 1, size=2)) if seed % 2 else (n, n)
+    return docs[:a], docs[a:b], docs[b:]
+
+
+def _docs(*pairs) -> list:
+    return [make_document(ids, label) for ids, label in pairs]
+
+
+# name -> (train, validation, test) Document lists
+HASH_CASES = {
+    # zero-length documents first, last and in runs: their labels go in at
+    # repeated positions of the token array, and must keep document order
+    "zero_length_runs": (_docs(([], 0), ([], None), ([3], 1), ([], 2), ([], None)),
+                         _docs(([], 1), ([4, 4], None)), _docs(([], 2), ([], 0))),
+    "unlabeled_empty_validation_and_test": (_docs(([1, 2], None), ([0], None)), [], []),
+    "one_document": (_docs(([5, 1, 5], 2)), [], []),
+    **{f"random{seed}": _random_split(seed) for seed in range(8)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(HASH_CASES))
+def test_sha256_equals_per_document_loop(case, tmp_path):
+    corpus = make_corpus(make_vocabulary([f"w{i}" for i in range(9)]), *HASH_CASES[case])
+    corpus.split.label_names = ["a", "b", "c"]
+    assert corpus.sha256 == loop_sha256(corpus)
+    save_corpus(corpus, tmp_path / "corpus.bin")
+    loaded = load_corpus(tmp_path / "corpus.bin")
+    assert loaded.sha256 == loop_sha256(loaded) == corpus.sha256
+
+
+def as_tuples(documents) -> list:
+    return [(d.token_ids.dtype, d.token_ids.tolist(), type(d.label), d.label)
+            for d in documents]
+
+
+def test_columns_index_slice_mask_and_index_array():
+    docs = [make_document(stream(k, "test/columns").integers(0, 9, size=k % 4),
+                          None if k % 3 == 0 else k % 5) for k in range(11)]
+    idf = np.linspace(1.0, 2.0, 9)
+    columns = CorpusColumns.pack(docs, idf)
+    assert len(columns) == len(docs)
+    assert as_tuples(columns) == as_tuples(docs)
+    assert columns.token_ptr.dtype == np.int64 and columns.token_ptr[0] == 0
+    assert columns.token_ids.dtype == columns.labels.dtype == np.int32
+    assert columns.labels.tolist() == [-1 if d.label is None else d.label for d in docs]
+    assert as_tuples([columns[-1], columns[np.int64(1)]]) == as_tuples([docs[-1], docs[1]])
+    with pytest.raises(IndexError):
+        columns[len(docs)]
+    assert len(CorpusColumns.pack([])) == 0
+    for key in (slice(2, 9), slice(None, None, -2), slice(5, 2), [4, 0, 4, 1], np.array([2]),
+                np.arange(len(docs)) % 2 == 0):
+        part = columns[key]
+        want = [docs[k] for k in np.arange(len(docs))[key]]
+        assert as_tuples(part) == as_tuples(want)
+        assert part.idf is idf and part.token_ptr[0] == 0
+        packed = CorpusColumns.pack(want)
+        for name in ("token_ptr", "token_ids", "labels"):
+            x, y = getattr(part, name), getattr(packed, name)
+            assert (name, x.dtype, x.tobytes()) == (name, y.dtype, y.tobytes())

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ginopic import docgraph
-from ginopic.corpus import Corpus, CorpusSplit, build_corpus
+from ginopic.corpus import build_corpus
 from ginopic.docgraph import (
     DocumentGraph,
     GraphColumns,
@@ -25,7 +25,8 @@ from ginopic.docgraph import (
 from ginopic.embedding import cosine_weights
 from ginopic.errors import ConfigError, ContractError, DataError
 
-from conftest import load_under_limit, make_document, make_embeddings, make_vocabulary
+from conftest import (load_under_limit, make_corpus, make_document, make_embeddings,
+                      make_vocabulary)
 
 
 def brute_force_graph(document, embeddings, delta):
@@ -123,9 +124,7 @@ class TestBuildDocumentGraph:
         assert build_document_graph(make_document([0, 1]), emb, delta=w).adjacency == \
             ((0, 1, w),)
         assert build_document_graph(make_document([0, 1]), emb, delta=0.7).n_edges == 0
-        corpus = Corpus(vocabulary=vocab, split=CorpusSplit(train=[make_document([0, 1])],
-                                                            validation=[], test=[]),
-                        options={}, seed=0, ratios=(1.0, 0.0, 0.0))
+        corpus = make_corpus(vocab, train=[make_document([0, 1])])
         assert build_all_graphs(corpus, emb, delta=0.7).graphs.edge_ptr[-1] == 0
 
     def test_nodes_in_first_occurrence_order_no_self_loops(self):
@@ -536,9 +535,7 @@ def one_pass_corpus():
     assert any(end - n < at < end for end, n in zip(ends, pairs) for at in range(5, end, 5))
     docs = [make_document(ids) for ids in ONE_PASS_DOCS]
     vocab = make_vocabulary([f"w{i}" for i in range(10)])
-    corpus = Corpus(vocabulary=vocab, split=CorpusSplit(train=docs[:5], validation=docs[5:7],
-                                                        test=docs[7:]),
-                    options={}, seed=0, ratios=(0.6, 0.2, 0.2))
+    corpus = make_corpus(vocab, train=docs[:5], validation=docs[5:7], test=docs[7:])
     return corpus, make_embeddings(vocab, np.random.default_rng(6).normal(size=(10, 3)))
 
 
@@ -563,8 +560,7 @@ def corpus_of(doc_ids, v, seed=0):
     with random 4-d embeddings."""
     vocab = make_vocabulary([f"w{i}" for i in range(v)])
     docs = [make_document(ids) for ids in doc_ids]
-    corpus = Corpus(vocabulary=vocab, split=CorpusSplit(train=docs, validation=[], test=[]),
-                    options={}, seed=0, ratios=(1.0, 0.0, 0.0))
+    corpus = make_corpus(vocab, train=docs)
     return corpus, make_embeddings(vocab, np.random.default_rng(seed).normal(size=(v, 4)))
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginopic.corpus import PreprocessOptions, build_corpus
+from ginopic.corpus import CorpusColumns, PreprocessOptions, build_corpus
 from ginopic.errors import ConfigError, ContractError, DataError
 from ginopic.metrics import (
     CV_WINDOW,
@@ -473,8 +473,9 @@ class TestEmbeddingDiversity:
 class TestOrchestration:
     def test_token_documents_back_maps_ids(self):
         vocab = make_vocabulary(["aa", "bb", "cc"])
-        docs = [make_document([2, 0, 2])]
-        assert token_documents(docs, vocab) == [["cc", "aa", "cc"]]
+        docs = CorpusColumns.pack([make_document([2, 0, 2]), make_document([]),
+                                   make_document([1])])
+        assert token_documents(docs, vocab) == [["cc", "aa", "cc"], [], ["bb"]]
 
     def test_evaluate_topics_keys_and_means(self):
         docs = [["aa", "bb", "cc", "dd"]] * 5 + [["ee", "ff"]] * 5
