@@ -973,7 +973,8 @@ class TestEntryPoint:
             "import sys\n"
             "import ginopic\n"
             "import ginopic.cli\n"
-            "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+            "lazy = ('scipy', 'multiprocessing', 'concurrent')\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] in lazy]\n"
             "assert not loaded, loaded\n"
         )
         run_fresh(probe)

@@ -1,4 +1,10 @@
-"""Linear SVM on topic proportions: hand-traced updates, determinism, theta export."""
+"""Linear SVM on topic proportions: hand-traced updates, determinism, worker
+processes, theta export."""
+import multiprocessing
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -173,7 +179,18 @@ SVM_CASES = {
 }
 
 
+def force_workers(monkeypatch, workers):
+    """Make `train_classifier` see `workers` usable CPUs, so that it fits in
+    that many worker processes (at most one per class) even on a 1-CPU host."""
+    cpu = downstream._usable_cpus()[0]
+    monkeypatch.setattr(downstream, "_usable_cpus", lambda: [cpu] * workers)
+
+
 class TestMatchesLoopBitwise:
+    @pytest.fixture(autouse=True, params=[1, 2], ids=["workers1", "workers2"])
+    def workers(self, request, monkeypatch):
+        force_workers(monkeypatch, request.param)
+
     @pytest.mark.parametrize("case", sorted(SVM_CASES))
     def test_weights_and_biases_bytes(self, case):
         n, k, n_classes, l2 = SVM_CASES[case]
@@ -203,6 +220,77 @@ class TestMatchesLoopBitwise:
         clf = train_classifier(x, y, config)
         assert clf.weights.tobytes() == weights.tobytes()
         assert clf.biases.tobytes() == biases.tobytes()
+
+
+def affinity_fit(x, y, ci, config):
+    """Stands in for `_fit_class` and returns the worker's CPU ids as weights."""
+    return np.array(sorted(os.sched_getaffinity(0)), dtype=np.float64), 0.0
+
+
+class TestWorkerProcesses:
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity call")
+    def test_each_worker_runs_on_one_cpu(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        cpu = downstream._usable_cpus()[0]
+        monkeypatch.setattr(downstream, "_fit_class", affinity_fit)
+        x, y = topic_like(40, 6, 6, seed=12)
+        clf = train_classifier(x, y, SvmConfig(epochs=1))
+        assert clf.weights.tolist() == [[cpu]] * 6
+
+    def test_worker_counts_agree(self, monkeypatch):
+        x, y = topic_like(40, 6, 6, seed=12)
+        config = SvmConfig(epochs=5, lr=0.5, seed=4)
+        fits = []
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            fits.append(train_classifier(x, y, config))
+        assert fits[0].weights.tobytes() == fits[1].weights.tobytes()
+        assert fits[0].biases.tobytes() == fits[1].biases.tobytes()
+
+    def test_no_process_outlives_a_fit(self, monkeypatch):
+        force_workers(monkeypatch, 2)
+        x, y = topic_like(40, 6, 6, seed=12)
+        train_classifier(x, y, SvmConfig(epochs=2))
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        # fork hands the patched module to the workers
+        def fail(*args):
+            raise ContractError("epoch failed")
+
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(downstream, "_sgd_epoch", fail)
+        x, y = topic_like(40, 6, 6, seed=12)
+        with pytest.raises(ContractError, match="epoch failed"):
+            train_classifier(x, y, SvmConfig(epochs=2))
+        assert multiprocessing.active_children() == []
+
+    def test_fork_with_live_blas_threads(self):
+        # OpenBLAS starts its threads on the first large product; the fit
+        # then forks with them live, as it does after training in process
+        probe = (
+            "import multiprocessing, sys\n"
+            "import numpy as np\n"
+            "from ginopic import downstream\n"
+            "a = np.random.default_rng(0).random((512, 512))\n"
+            "a @ a\n"
+            "cpu = downstream._usable_cpus()[0]\n"
+            "downstream._usable_cpus = lambda: [cpu, cpu]\n"
+            "gen = np.random.default_rng(1)\n"
+            "x, y = gen.random((60, 6)), np.arange(60) % 6\n"
+            "clf = downstream.train_classifier(x, y, downstream.SvmConfig(epochs=5))\n"
+            "assert multiprocessing.active_children() == []\n"
+            "print(clf.weights.tobytes().hex(), clf.biases.tobytes().hex())\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(downstream.__file__)))
+        out = []
+        for threads in ("2", "1"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", probe], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            out.append(done.stdout)
+        assert out[0] == out[1]
 
 
 class TestClassifierBehavior:
