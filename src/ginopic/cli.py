@@ -51,6 +51,7 @@ from .metrics import (
     npmi,
     save_topics,
     token_documents,
+    validate_persistence,
     write_metrics_report,
 )
 from .presets import get_preset
@@ -415,7 +416,15 @@ def _topic_counts(o, corpus) -> list:
                 raise ConfigError(f"bad topic count {item!r}") from e
     if not counts:
         raise ConfigError("--topic-counts is empty")
+    _check_distinct("--topic-counts", counts)
     return counts
+
+
+def _check_distinct(flag, keys: list) -> None:
+    """A batch whose runs would share a run directory is a ConfigError."""
+    repeats = [key for i, key in enumerate(keys) if key in keys[:i]]
+    if repeats:
+        raise ConfigError(f"{flag} lists {repeats[0]} more than once")
 
 
 def _sweep_runs(corpus, embeddings, deltas, config):
@@ -445,6 +454,7 @@ def _cmd_train(o) -> int:
         if not o.embeddings:
             raise ConfigError("--delta-sweep needs --embeddings to rebuild graphs")
         deltas = [validate_delta(d) for d in o.delta_sweep]
+        _check_distinct("--delta-sweep", [f"{d:g}" for d in deltas])
         embeddings = load_embeddings(o.embeddings, corpus.vocabulary, seed=o.seed)
         head, table = ("delta", "mean_edges", "build_seconds"), "sweep.tsv"
         config = _train_config_from(o, _resolve_topics(o, corpus), o.seed)
@@ -491,6 +501,9 @@ def _cmd_train(o) -> int:
 def _cmd_eval_topics(o) -> int:
     if bool(o.model) == bool(o.topics_file):
         raise ConfigError("give exactly one of --model or --topics-file")
+    if o.top_n < 1:
+        raise ConfigError(f"--top-n must be >= 1, got {o.top_n}")
+    validate_persistence(o.rbo_p)
     corpus = load_corpus(o.corpus) if o.corpus else None
     if o.model:
         if corpus is None:
@@ -505,12 +518,9 @@ def _cmd_eval_topics(o) -> int:
                             f"got {len(topics[0])}", path=o.topics_file)
 
     embeddings = None
-    if o.embeddings:
-        if corpus is not None:
-            vocab = corpus.vocabulary
-        else:
-            words = sorted({w for t in topics for w in t})
-            vocab = Vocabulary(words=words, doc_frequency=np.zeros(len(words), dtype=np.int64))
+    if o.embeddings:  # aligned to the topic words, the only rows wi_c and wi_m read
+        words = sorted({w for t in topics for w in t})
+        vocab = Vocabulary(words=words, doc_frequency=np.zeros(len(words), dtype=np.int64))
         embeddings = load_embeddings(o.embeddings, vocab, seed=o.seed)
     reference = (token_documents(corpus.split.train, corpus.vocabulary)
                  if corpus is not None else None)
@@ -558,6 +568,8 @@ def _cmd_classify(o) -> int:
 
 
 def _cmd_export(o) -> int:
+    if o.top_n < 1:
+        raise ConfigError(f"--top-n must be >= 1, got {o.top_n}")
     corpus = load_corpus(o.corpus)
     model = load_checkpoint(o.model, vocabulary=corpus.vocabulary)
     if o.what == "theta":

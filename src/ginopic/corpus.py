@@ -4,7 +4,8 @@ Preprocessing: lowercase, strip everything but letter runs, lemmatize with the
 bundled suffix-rule lemmatizer, drop words shorter than `min_word_len`, keep
 the `max_vocab` most frequent terms (ties broken lexicographically), drop
 documents left with fewer than `min_doc_len` tokens.  Stopword removal is off
-unless a stopword set is supplied.
+unless a stopword set is supplied.  It is one pass over the whole corpus, so
+the documents are columns from the first token on.
 
 tf-idf uses the smoothed convention tfidf[v] = count(v) * (ln((1+N)/(1+df(v))) + 1),
 unnormalized.  The pipeline fits idf on the training split and applies it
@@ -26,7 +27,10 @@ from __future__ import annotations
 import hashlib
 import re
 import struct
-from dataclasses import dataclass, field, replace
+import sys
+from collections import Counter
+from dataclasses import asdict, dataclass, field, replace
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -55,13 +59,7 @@ class PreprocessOptions:
             raise ConfigError("min_word_len and min_doc_len must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "max_vocab": self.max_vocab,
-            "min_word_len": self.min_word_len,
-            "min_doc_len": self.min_doc_len,
-            "lemmatize": self.lemmatize,
-            "stopwords": sorted(self.stopwords) if self.stopwords else None,
-        }
+        return {**asdict(self), "stopwords": sorted(self.stopwords) if self.stopwords else None}
 
 
 @dataclass
@@ -96,7 +94,7 @@ class Vocabulary:
 
 @dataclass
 class Document:
-    """One preprocessed document: in-vocab token ids in original order."""
+    """A `CorpusColumns` document, by int index: in-vocab token ids in original order."""
 
     token_ids: np.ndarray  # int32
     label: int | None = None
@@ -215,63 +213,57 @@ class Corpus:
         save_corpus(self, path)
 
 
-def tokenize(text: str, options: PreprocessOptions, lemmas: dict | None = None) -> list:
-    """Lowercase, extract letter runs, lemmatize, filter stopwords and short words.
+def _lemma_table(forms, options: PreprocessOptions) -> dict:
+    """{form: lemma} of each distinct form, lemmatized once, whose lemma is no
+    stopword and at least `min_word_len` long; other forms are dropped."""
+    stopwords = options.stopwords or ()
+    lemmas = ((f, lemmatize(f) if options.lemmatize else f) for f in set(forms))
+    return {f: lemma for f, lemma in lemmas
+            if lemma not in stopwords and len(lemma) >= options.min_word_len}
 
-    `lemmas` maps each form already lemmatized to its lemma and gains the
-    new forms of `text`, so a caller tokenizing many texts lemmatizes each
-    distinct form once.
-    """
-    tokens = _TOKEN_RE.findall(text.lower())
-    if options.lemmatize:
-        lemmas = {} if lemmas is None else lemmas
-        lemmas.update((t, lemmatize(t)) for t in set(tokens).difference(lemmas))
-        tokens = [lemmas[t] for t in tokens]
-    if options.stopwords:
-        tokens = [t for t in tokens if t not in options.stopwords]
-    return [t for t in tokens if len(t) >= options.min_word_len]
+
+def tokenize(text: str, options: PreprocessOptions) -> list:
+    """Lowercase, extract letter runs, then `preprocess`'s lemma table."""
+    forms = _TOKEN_RE.findall(text.lower())
+    table = _lemma_table(forms, options)
+    return [table[f] for f in forms if f in table]
 
 
 def preprocess(raw_documents, options: PreprocessOptions | None = None):
-    """Tokenize a raw corpus and choose its vocabulary.
+    """Tokenize a raw corpus and choose its vocabulary, over all its forms at once.
 
     Returns (words, documents, kept_indices): the vocabulary's words in id
-    order, the documents as token ids into them, and kept_indices, which maps
-    each surviving document back to its position in `raw_documents` so label
-    files stay aligned.  Vocabulary selection ranks words by total corpus frequency
-    (descending), ties broken lexicographically, so every excluded word has
-    frequency <= the minimum frequency among included words.
+    order, the documents as `CorpusColumns` (labels -1) of token ids into them,
+    and kept_indices, which maps each surviving document back to its position
+    in `raw_documents` so label files stay aligned.  Vocabulary selection ranks
+    words by total corpus frequency (descending), ties broken lexicographically,
+    so every excluded word has frequency <= the minimum frequency among included words.
     """
     options = options or PreprocessOptions()
     options.validate()
     if not raw_documents:
         raise DataError("empty corpus: no input documents")
 
-    lemmas: dict = {}
-    tokenized = [tokenize(text, options, lemmas) for text in raw_documents]
-    freq: dict = {}
-    for tokens in tokenized:
-        for t in tokens:
-            freq[t] = freq.get(t, 0) + 1
+    per_doc = [list(map(sys.intern, _TOKEN_RE.findall(text.lower()))) for text in raw_documents]
+    forms = list(chain.from_iterable(per_doc))  # interned: one string per distinct form
+    table = _lemma_table(forms, options)
+    freq = Counter(filter(None, map(table.get, forms)))  # None: a dropped form
     if not freq:
         raise DataError("empty corpus: no tokens survive preprocessing")
 
-    ranked = sorted(freq, key=lambda w: (-freq[w], w))
-    words = ranked[: options.max_vocab]
-    word_to_id = {w: i for i, w in enumerate(words)}
-
-    documents = []
-    kept_indices = []
-    for pos, tokens in enumerate(tokenized):
-        ids = [word_to_id[t] for t in tokens if t in word_to_id]
-        if len(ids) < options.min_doc_len:
-            continue
-        documents.append(Document(token_ids=np.array(ids, dtype=np.int32)))
-        kept_indices.append(pos)
-    if not documents:
+    words = sorted(freq, key=lambda w: (-freq[w], w))[: options.max_vocab]
+    word_id = {w: i for i, w in enumerate(words)}
+    form_id = {f: word_id[lemma] for f, lemma in table.items() if lemma in word_id}
+    ids = np.fromiter(map(form_id.get, forms, repeat(-1)), np.int32, len(forms))
+    rows = np.repeat(np.arange(len(per_doc)), [len(d) for d in per_doc])
+    lengths = np.bincount(rows[ids >= 0], minlength=len(per_doc))
+    kept = lengths >= options.min_doc_len
+    if not kept.any():
         raise DataError("empty corpus: every document fell below min_doc_len")
 
-    return words, documents, kept_indices
+    documents = CorpusColumns(offsets(lengths[kept]), ids[(ids >= 0) & kept[rows]],
+                              np.full(int(kept.sum()), -1, np.int32))
+    return words, documents, np.flatnonzero(kept).tolist()
 
 
 def token_rows(documents: CorpusColumns, vocab_size: int):
@@ -344,16 +336,15 @@ def build_corpus(
     if labels is not None:
         kept_labels = [str(labels[i]) for i in kept]
         label_names = sorted(set(kept_labels))
-        name_to_id = {name: i for i, name in enumerate(label_names)}
-        for doc, lab in zip(documents, kept_labels):
-            doc.label = name_to_id[lab]
+        label_id = {name: i for i, name in enumerate(label_names)}
+        documents = replace(documents, labels=np.array([label_id[n] for n in kept_labels], np.int32))
 
     return assemble_corpus(words, documents, ratios, seed, label_names, options.to_dict())
 
 
 def assemble_corpus(
     words,
-    documents,
+    documents: CorpusColumns,
     ratios=(0.70, 0.15, 0.15),
     seed: int = 0,
     label_names=None,
@@ -364,10 +355,10 @@ def assemble_corpus(
     frequencies over them, and wrap them in a Corpus.  `build_corpus` ends
     here; synthetic pipelines call it directly.
 
-    Documents must carry integer labels already if label_names is given.
-    An empty list is a DataError, raised by `split_corpus`.
+    The columns must carry integer labels already if label_names is given.
+    No documents is a DataError, raised by `split_corpus`.
     """
-    split = split_corpus(CorpusColumns.pack(documents), ratios=ratios, seed=seed)
+    split = split_corpus(documents, ratios=ratios, seed=seed)
     split.label_names = list(label_names) if label_names is not None else None
     return Corpus(
         vocabulary=Vocabulary(words=list(words), doc_frequency=_weigh(split, len(words))),

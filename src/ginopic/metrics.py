@@ -24,7 +24,7 @@ import math
 from collections import Counter
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -223,14 +223,19 @@ def cv(topic, stats: CooccurrenceStats, eps: float = NPMI_EPS) -> float:
     return float(np.mean(sims))
 
 
+def validate_persistence(p: float) -> None:
+    """An rbo persistence outside (0, 1) is a ConfigError."""
+    if not 0.0 < p < 1.0:
+        raise ConfigError(f"rbo persistence p must lie in (0, 1), got {p}")
+
+
 def rbo(list_a, list_b, p: float = 0.9, depth: int | None = None) -> float:
     """Truncated normalized rank-biased overlap; 1.0 exactly on identical lists.
 
     Weights are geometric in rank; normalizing by their own sum (rather than
     the closed form) keeps the identical-list case bit-exact.
     """
-    if not 0.0 < p < 1.0:
-        raise ConfigError(f"rbo persistence p must lie in (0, 1), got {p}")
+    validate_persistence(p)
     if depth is None:
         depth = min(len(list_a), len(list_b))
     if depth < 1 or depth > len(list_a) or depth > len(list_b):
@@ -309,19 +314,11 @@ def wi_m(topics, embeddings: EmbeddingMatrix) -> float:
     averaged over words and over ordered pairs (i, j), i != j.
     """
     validate_topics(topics)
-    mats = [_topic_vectors(t, embeddings) for t in topics]
     normed = []
-    for m in mats:
+    for m in (_topic_vectors(t, embeddings) for t in topics):
         norms = np.linalg.norm(m, axis=1, keepdims=True)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        normed.append(m / safe)
-    vals = []
-    for i in range(len(topics)):
-        for j in range(len(topics)):
-            if i == j:
-                continue
-            sims = normed[i] @ normed[j].T
-            vals.append(float(np.mean(np.max(sims, axis=1))))
+        normed.append(m / np.where(norms == 0.0, 1.0, norms))
+    vals = [float(np.mean(np.max(a @ b.T, axis=1))) for a, b in permutations(normed, 2)]
     return 1.0 - float(np.mean(vals))
 
 

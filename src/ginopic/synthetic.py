@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import Corpus, Document, Vocabulary, assemble_corpus
+from .corpus import Corpus, CorpusColumns, Document, Vocabulary, assemble_corpus
 from .embedding import EmbeddingMatrix
 from .errors import ConfigError
 from .lemmatizer import lemmatize
@@ -74,7 +74,7 @@ def block_topic_corpus(seed: int = 0, n_docs: int = 1000, n_topics: int = 3,
         ids = topic_per_token * words_per_topic + offset
         docs.append(Document(token_ids=ids.astype(np.int32), label=int(np.argmax(theta))))
     label_names = [f"topic{t}" for t in range(n_topics)]
-    return assemble_corpus(words, docs, seed=seed, label_names=label_names,
+    return assemble_corpus(words, CorpusColumns.pack(docs), seed=seed, label_names=label_names,
                            options={"source": "synthetic/block", "alpha": alpha})
 
 

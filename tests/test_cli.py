@@ -561,6 +561,25 @@ class TestTrain:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("batch, repeat", [
+        (["--topics", "2", "--delta-sweep", "0.3,0.30"], "--delta-sweep lists 0.3"),
+        (["--graphs", "GRAPHS", "--topic-counts", "3,gold,3"], "--topic-counts lists 3"),
+        (["--graphs", "GRAPHS", "--topic-counts", "2,3,gold"], "--topic-counts lists 2"),
+    ], ids=["delta", "topic_count", "gold_resolves_to_a_listed_count"])
+    def test_repeated_batch_entry_fails_before_any_run(self, pipeline, tmp_path, capsys,
+                                                       batch, repeat):
+        """Two runs of a batch that would share one run directory are refused."""
+        out = tmp_path / "batch"
+        batch = [pipeline.graphs if b == "GRAPHS" else b for b in batch]
+        rc, stdout, err = run(capsys, ["train", "--corpus", pipeline.corpus,
+                                       "--embeddings", pipeline.emb, "--epochs", "1",
+                                       *batch, "--out", str(out)] + TRAIN_DIMS)
+        assert rc == 2
+        assert_one_line_error(err)
+        assert f"{repeat} more than once" in err
+        assert stdout == ""
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, pipeline, tmp_path, capsys):
         rc, _, _ = run(capsys, ["train", "--corpus", pipeline.corpus,
@@ -617,6 +636,31 @@ class TestEvalTopics:
         assert out == ""
         assert_one_line_error(err)
         assert fault in err and str(topics) in err
+
+    def test_embeddings_align_to_topic_words_with_and_without_corpus(self, pipeline,
+                                                                      tmp_path, capsys):
+        """A topic word that neither the corpus nor the embedding file holds
+        gets the same out-of-vocabulary vector with and without --corpus."""
+        topics = tmp_path / "topics.txt"
+        topics.write_text("apple zzzqq\nengine brake\n")
+        args = ["eval-topics", "--topics-file", str(topics), "--embeddings", pipeline.emb]
+        rc, alone, _ = run(capsys, args)
+        assert rc == 0
+        rc, with_corpus, _ = run(capsys, args + ["--corpus", pipeline.corpus])
+        assert rc == 0
+        alone, with_corpus = parse_table(alone), parse_table(with_corpus)
+        assert set(alone) == {"irbo", "wi_c", "wi_m"}
+        assert {k: with_corpus[k] for k in alone} == alone
+
+    def test_embeddings_sharing_no_topic_word_exit_code(self, pipeline, tmp_path, capsys):
+        topics = tmp_path / "topics.txt"
+        topics.write_text("alpha beta\ngamma zeta\n")
+        rc, out, err = run(capsys, ["eval-topics", "--topics-file", str(topics),
+                                    "--corpus", pipeline.corpus, "--embeddings", pipeline.emb])
+        assert rc == 3
+        assert out == ""
+        assert_one_line_error(err)
+        assert "shares no words" in err and pipeline.emb in err
 
     def test_needs_some_source(self, capsys):
         rc, _, _ = run(capsys, ["eval-topics"])
@@ -808,6 +852,30 @@ class TestExport:
                                 "--corpus", pipeline.corpus, "--what", "nonsense",
                                 "--out", str(tmp_path / "x")])
         assert rc == 2
+
+
+class TestBadSettingsFailBeforeLoading:
+    @pytest.mark.parametrize("command, bad, message", [
+        ("eval-topics", ["--rbo-p", "2"], "p must lie in (0, 1), got 2.0"),
+        ("eval-topics", ["--rbo-p", "nan"], "p must lie in (0, 1), got nan"),
+        ("eval-topics", ["--top-n", "0"], "--top-n must be >= 1, got 0"),
+        ("export", ["--top-n", "0"], "--top-n must be >= 1, got 0"),
+    ], ids=["eval_rbo_p", "eval_rbo_p_nan", "eval_top_n", "export_top_n"])
+    def test_exit_code_before_any_file_loads(self, pipeline, tmp_path, capsys, monkeypatch,
+                                             command, bad, message):
+        def no_load(*args, **kwargs):
+            raise AssertionError("a file loaded before the settings were checked")
+
+        for loader in ("load_corpus", "load_checkpoint", "load_embeddings", "load_topics"):
+            monkeypatch.setattr(cli, loader, no_load)
+        extra = (["--embeddings", pipeline.emb] if command == "eval-topics"
+                 else ["--what", "topics", "--out", str(tmp_path / "topics.txt")])
+        rc, out, err = run(capsys, [command, "--model", pipeline.model,
+                                    "--corpus", pipeline.corpus, *extra, *bad])
+        assert rc == 2
+        assert out == ""
+        assert_one_line_error(err)
+        assert message in err
 
 
 class TestForeignGraphStore:

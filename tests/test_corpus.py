@@ -2,11 +2,13 @@
 and the corpus cache format."""
 import hashlib
 import math
+import re
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ginopic import corpus as corpus_module
@@ -122,6 +124,82 @@ class TestPreprocess:
             PreprocessOptions(min_word_len=0).validate()
 
 
+def loop_tokenize(text, options):
+    """The per-token rule of `tokenize`, kept as the reference: lemmatize
+    each form, then drop stopword lemmas, then lemmas shorter than
+    `min_word_len`."""
+    tokens = re.findall(r"[a-z]+", text.lower())
+    if options.lemmatize:
+        tokens = [lemmatize(t) for t in tokens]
+    if options.stopwords:
+        tokens = [t for t in tokens if t not in options.stopwords]
+    return [t for t in tokens if len(t) >= options.min_word_len]
+
+
+def loop_preprocess(raw_documents, options):
+    """The per-document loop `preprocess` replaced, kept as the reference:
+    (words, token id list per kept document, kept indices), or the
+    DataError message when nothing survives."""
+    tokenized = [loop_tokenize(text, options) for text in raw_documents]
+    freq = Counter(t for tokens in tokenized for t in tokens)
+    if not freq:
+        return "empty corpus: no tokens survive preprocessing"
+    words = sorted(freq, key=lambda w: (-freq[w], w))[: options.max_vocab]
+    word_to_id = {w: i for i, w in enumerate(words)}
+    documents, kept = [], []
+    for pos, tokens in enumerate(tokenized):
+        ids = [word_to_id[t] for t in tokens if t in word_to_id]
+        if len(ids) >= options.min_doc_len:
+            documents.append(ids)
+            kept.append(pos)
+    if not documents:
+        return "empty corpus: every document fell below min_doc_len"
+    return words, documents, kept
+
+
+# forms the lemmatizer changes (flies -> fly, studies -> study), a lemma
+# that is a stopword when its form is not, and short words
+_FORMS = ["Flies", "flies", "FLY", "fly", "studies", "Studying", "study", "cats", "Cat",
+          "the", "THE", "ox", "a", "zebra", "Zebras", "men"]
+_SEPARATORS = [" ", "  ", "-", "!", ", ", "22", "3.5", "\t", "'"]
+_texts = st.lists(st.lists(st.tuples(st.sampled_from(_FORMS), st.sampled_from(_SEPARATORS)),
+                           max_size=12).map(lambda parts: "".join(f + s for f, s in parts)),
+                  min_size=1, max_size=8)
+_options = st.builds(PreprocessOptions, max_vocab=st.integers(1, 8),
+                     min_word_len=st.integers(1, 4), min_doc_len=st.integers(1, 5),
+                     lemmatize=st.booleans(),
+                     stopwords=st.sampled_from([None, frozenset({"fly"}),
+                                                frozenset({"fly", "the", "cat"})]))
+
+
+@given(_texts, _options)
+@example(["flies FLY fly", "Flies cats", "studies"], PreprocessOptions(
+    stopwords=frozenset({"fly"}), min_doc_len=1))
+@example(["cat zebra the", "zebra, cat; THE", "ox"], PreprocessOptions(
+    max_vocab=2, lemmatize=False, min_word_len=2, min_doc_len=1))
+@example(["cat zebra cat zebra cat", "cat", "zebra ox", "", "22 !"], PreprocessOptions(
+    min_word_len=2, min_doc_len=4))
+@settings(max_examples=200, deadline=None)
+def test_one_pass_equals_per_document_loop(texts, options):
+    """Words, token ids, pointers and kept indices of the one-pass
+    `preprocess` equal the per-document loop's, and `tokenize` equals the
+    per-token rule on every text."""
+    for text in texts:
+        assert tokenize(text, options) == loop_tokenize(text, options)
+    want = loop_preprocess(texts, options)
+    if isinstance(want, str):
+        with pytest.raises(DataError, match=want):
+            preprocess(texts, options)
+        return
+    words, documents, kept = preprocess(texts, options)
+    want_words, want_docs, want_kept = want
+    assert (words, kept) == (want_words, want_kept)
+    packed = pack(want_docs)
+    for name in ("token_ptr", "token_ids", "labels"):
+        x, y = getattr(documents, name), getattr(packed, name)
+        assert (name, x.dtype, x.tolist()) == (name, y.dtype, y.tolist())
+
+
 class TestTfidf:
     def test_hand_value(self):
         # N=10 docs, df=1, count=2: 2 * (ln(11/2) + 1) = 5.409496184476851
@@ -207,9 +285,8 @@ def test_corpus_weights_equal_per_document_loop(case, tmp_path):
     `tfidf_dense` rows, equal the per-document loop bit for bit, when built
     and after a save and load."""
     token_docs, v, ratios = WEIGHT_CASES[case]
-    docs = [make_document(ids) for ids in token_docs]
     words = [f"w{i}" for i in range(v)]
-    corpus = assemble_corpus(words, docs, ratios=ratios, seed=3)
+    corpus = assemble_corpus(words, pack(token_docs), ratios=ratios, seed=3)
     entries, idf, df = loop_compute_tfidf(corpus.split, v)
     if case.endswith("absent_from_train"):
         assert (idf == np.log(1.0 + len(corpus.split.train)) + 1.0).sum() == 2
